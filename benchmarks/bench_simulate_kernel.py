@@ -9,8 +9,8 @@ Two benchmark families share this file:
 * the kernel-v2 criterion — per-fragment *batch* workloads
   (unidirectional and right-restricted machines on large row batches,
   plus a two-way fallback control) run through the v1 worklist kernel
-  and the determinized v2 scan kernel
-  (``repro.fsa.determinize``), gated at v2 ≥2× v1 on the
+  (built with ``compile_kernel``) and the determinized v2 scan kernel
+  (built with ``determinize``), gated at v2 ≥2× v1 on the
   unidirectional batch and recorded as the ``BENCH_kernel.json``
   trajectory.
 
@@ -29,8 +29,8 @@ import pytest
 from repro.core import shorthands as sh
 from repro.core.alphabet import AB, DNA, LEFT_END, RIGHT_END
 from repro.fsa.compile import compile_string_formula
-from repro.fsa.determinize import classify_fragment
-from repro.fsa.kernel import kernel_for
+from repro.fsa.determinize import classify_fragment, determinize
+from repro.fsa.kernel import compile_kernel, kernel_for
 from repro.fsa.machine import make_fsa
 from repro.fsa.simulate import reference_accepts
 from repro.workloads.generators import (
@@ -168,8 +168,15 @@ def _batch_workloads():
     ]
 
 
-def _run_mode(fsa, rows, mode):
-    return kernel_for(fsa, mode).accepts_batch(rows)
+def _tiers(fsa):
+    """``(v1, v2)`` kernels of ``fsa``, each built directly.
+
+    Out of fragment ``determinize`` declines and the v2 column is the
+    v1 kernel — the fallback ``kernel_for`` would pick.
+    """
+    v1 = compile_kernel(fsa)
+    v2 = determinize(fsa)
+    return v1, v2 if v2 is not None else v1
 
 
 @pytest.mark.parametrize(
@@ -179,7 +186,8 @@ def _run_mode(fsa, rows, mode):
 )
 def test_v2_batch_workload(benchmark, name, fragment, fsa, rows):
     assert classify_fragment(fsa) == fragment
-    verdicts = benchmark(lambda: _run_mode(fsa, rows, "v2"))
+    _, v2 = _tiers(fsa)
+    verdicts = benchmark(lambda: v2.accepts_batch(rows))
     assert any(verdicts)
 
 
@@ -187,11 +195,12 @@ def _v2_measurements():
     """The per-workload v1/v2 timings backing the gate and the report."""
     results = []
     for name, fragment, fsa, rows in _batch_workloads():
-        expected = _run_mode(fsa, rows, "v1")
-        assert _run_mode(fsa, rows, "v2") == expected, name
-        assert _run_mode(fsa, rows, "auto") == expected, name
-        v1 = _best_of(3, lambda: _run_mode(fsa, rows, "v1"))
-        v2 = _best_of(3, lambda: _run_mode(fsa, rows, "v2"))
+        v1_kernel, v2_kernel = _tiers(fsa)
+        expected = v1_kernel.accepts_batch(rows)
+        assert v2_kernel.accepts_batch(rows) == expected, name
+        assert kernel_for(fsa).accepts_batch(rows) == expected, name
+        v1 = _best_of(3, lambda: v1_kernel.accepts_batch(rows))
+        v2 = _best_of(3, lambda: v2_kernel.accepts_batch(rows))
         results.append(
             {
                 "workload": name,

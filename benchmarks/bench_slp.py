@@ -1,14 +1,15 @@
-"""Kernel v3 on grammars vs. kernel v2 on expanded strings.
+"""The grammar fold ("v3") vs. the scan of expanded strings ("v2").
 
-The SLP acceptance criterion (ISSUE, tentpole): on a planted-motif
-workload of highly compressible strings the grammar-path kernel v3
-answers the *same* membership questions ≥5× faster than the v2 scan
-at **equal expanded length** — v2 reads every character of the
-expanded strings, v3 composes per-rule summaries in
-``O(rules · states)``.  A second, scale tier plants the motif in
-strings whose expanded length is ≥100× the uncompressed budget: only
-v3 finishes there (v2 would have to materialize hundreds of millions
-of characters), recorded in ``BENCH_slp.json`` alongside the
+One scan kernel (``kernel_for`` on an in-fragment machine) serves both
+columns: fed SLP cells it folds per-rule summaries in
+``O(rules · states)``, fed the expanded strings it reads every
+character.  The SLP acceptance criterion: on a planted-motif workload
+of highly compressible strings the grammar fold answers the *same*
+membership questions ≥5× faster than the scan at **equal expanded
+length**.  A second, scale tier plants the motif in strings whose
+expanded length is ≥100× the uncompressed budget: only the fold
+finishes there (the scan would have to materialize hundreds of
+millions of characters), recorded in ``BENCH_slp.json`` alongside the
 expanded-vs-stored byte accounting from ``benchmarks/conftest.py``.
 
 Run directly (``PYTHONPATH=src python benchmarks/bench_slp.py``) for a
@@ -22,8 +23,10 @@ from pathlib import Path
 import pytest
 
 from repro.core.alphabet import DNA, LEFT_END, RIGHT_END
+from repro.fsa.determinize import DeterministicKernel
+from repro.fsa.kernel import kernel_for
 from repro.fsa.machine import make_fsa
-from repro.slp import compress, concat, literal, repeat, slp_kernel_for
+from repro.slp import compress, concat, literal, repeat
 from repro.storage import SLPStorage
 
 try:
@@ -118,7 +121,7 @@ def _run_v3_cold(kernel, rows):
 
 def test_v3_motif_workload(benchmark):
     fsa = _motif_machine()
-    kernel = slp_kernel_for(fsa)
+    kernel = kernel_for(fsa)
     grammar_rows, _, expected = _motif_workload()
     verdicts = benchmark(lambda: _run_v3_cold(kernel, grammar_rows))
     assert verdicts == expected
@@ -126,7 +129,7 @@ def test_v3_motif_workload(benchmark):
 
 def test_v2_motif_workload(benchmark):
     fsa = _motif_machine()
-    kernel = slp_kernel_for(fsa)  # same table as v2; scan path
+    kernel = kernel_for(fsa)  # same kernel; plain rows take the scan
     _, expanded_rows, expected = _motif_workload()
     verdicts = benchmark(lambda: kernel.accepts_batch(expanded_rows))
     assert verdicts == expected
@@ -135,8 +138,10 @@ def test_v2_motif_workload(benchmark):
 def _measurements():
     """The motif-tier timings and the scale-tier record."""
     fsa = _motif_machine()
-    kernel = slp_kernel_for(fsa)
-    assert kernel is not None, "motif machine left the v2/v3 fragment"
+    kernel = kernel_for(fsa)
+    assert isinstance(kernel, DeterministicKernel), (
+        "motif machine left the scan-kernel fragment"
+    )
     grammar_rows, expanded_rows, expected = _motif_workload()
     assert kernel.accepts_batch(expanded_rows) == expected
     assert _run_v3_cold(kernel, grammar_rows) == expected

@@ -74,14 +74,7 @@ def _evaluate_select(
         if executor is not None:
             from repro.parallel.generation import filter_accepted
 
-            return filter_accepted(
-                machine,
-                sorted(inner),
-                executor=executor,
-                kernel_mode=(
-                    session.kernel_mode if session is not None else "auto"
-                ),
-            )
+            return filter_accepted(machine, sorted(inner), executor=executor)
         kernel = (
             session.kernel(machine)
             if session is not None

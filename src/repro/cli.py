@@ -44,13 +44,8 @@ and the optimized algebra expression — instead of evaluating.
 into the positional n-gram index backend (:mod:`repro.storage`) the
 planner probes for pushed-down selection factors; ``--storage slp``
 holds every cell as a straight-line program (:mod:`repro.slp`).
-``--kernel {v1,v2,v3,auto}`` selects the acceptance kernel tier
-(:mod:`repro.fsa.determinize`; the default ``auto`` serves
-in-fragment machines from the determinized v2 scan tables and falls
-back to the v1 worklist kernel otherwise; ``v3`` additionally
-evaluates compressed inputs on their grammars,
-:mod:`repro.slp.kernel`).  All human-readable
-instrumentation goes to stderr so stdout stays a clean tuple stream.
+All human-readable instrumentation goes to stderr so stdout stays a
+clean tuple stream.
 
 Formulas use the concrete syntax of :mod:`repro.core.parser`.
 """
@@ -115,9 +110,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     formula = parse_formula(args.formula)
     query = Query(tuple(args.head), formula, alphabet)
     tracing = bool(args.trace or args.profile or args.metrics_out)
-    session = QueryEngine(
-        tracer=Tracer() if tracing else None, kernel_mode=args.kernel
-    )
+    session = QueryEngine(tracer=Tracer() if tracing else None)
     if args.explain:
         from repro.ir.explain import explain_query
 
@@ -203,7 +196,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             default_deadline=args.deadline,
             default_workers=args.workers,
             default_shards=args.shards,
-            kernel_mode=args.kernel,
             report_log=args.report_log,
         )
         await service.start()
@@ -347,18 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="shard count for sharded evaluation (default: 4 per worker)",
     )
     query.add_argument(
-        "--kernel",
-        choices=("v1", "v2", "v3", "auto"),
-        default="auto",
-        help="acceptance-kernel mode (default: auto — the determinized "
-        "scan kernel for machines in the unidirectional / "
-        "right-restricted fragment, the compiled worklist kernel "
-        "otherwise; v1 forces the worklist kernel everywhere; v2 "
-        "requests the scan kernel with transparent v1 fallback; v3 "
-        "adds grammar-path acceptance for SLP-compressed inputs). "
-        "Answers are identical for every mode.",
-    )
-    query.add_argument(
         "--storage",
         choices=STORAGE_KINDS,
         default="memory",
@@ -489,9 +469,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="default shard count for sharded evaluation",
-    )
-    serve.add_argument(
-        "--kernel", choices=("v1", "v2", "v3", "auto"), default="auto"
     )
     serve.add_argument(
         "--storage", choices=STORAGE_KINDS, default="memory"

@@ -69,18 +69,7 @@ class QueryEngine:
         *,
         max_generated_entries: int | None = 4096,
         tracer: "Tracer | NullTracer | None" = None,
-        kernel_mode: str = "auto",
     ) -> None:
-        from repro.fsa.kernel import KERNEL_MODES
-
-        if kernel_mode not in KERNEL_MODES:
-            raise ValueError(
-                f"unknown kernel mode {kernel_mode!r}; "
-                f"expected one of {KERNEL_MODES}"
-            )
-        #: The session-wide acceptance-kernel mode (``"v1"``, ``"v2"``,
-        #: ``"v3"`` or ``"auto"``); see :func:`repro.fsa.kernel.kernel_for`.
-        self.kernel_mode = kernel_mode
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.stats = EngineStats()
         register = self.stats.register_cache
@@ -206,45 +195,30 @@ class QueryEngine:
             (formula, alphabet, layout), self._activated(build)
         )
 
-    def kernel(self, fsa: "FSA", mode: str | None = None):
+    def kernel(self, fsa: "FSA"):
         """The acceptance kernel for ``fsa``, cached structurally.
 
         Two independently built but equal machines share one kernel
-        per session *and per kernel tier*: cache keys are
-        ``(tier, machine)`` where the tier is ``"v1"`` for the
-        worklist :class:`~repro.fsa.kernel.CompiledKernel`, ``"v2"``
-        for the determinized
-        :class:`~repro.fsa.determinize.DeterministicKernel` and
-        ``"v3"`` for the grammar-compositional
-        :class:`~repro.slp.kernel.SLPKernel`, so a forced-v1 lookup
-        can never collide with a v2 or v3 one.  The kernel is
-        additionally stashed on the machine instance by
-        :func:`~repro.fsa.kernel.kernel_for`, so the acceptance hot
-        paths (the algebra's non-generative selection, the planner's
-        row filters) never recompile — and since a v3 kernel carries
-        its per-rule summary memo, compressed-input summaries are
-        shared across every query and batch of the session.
+        per session.  The machine picks the kernel
+        (:func:`~repro.fsa.kernel.kernel_for`): the determinized scan
+        kernel in the Theorem 5.2 fragment, the worklist kernel
+        otherwise.  The kernel is additionally stashed on the machine
+        instance, so the acceptance hot paths (the algebra's
+        non-generative selection, the planner's row filters) never
+        recompile — and since the scan kernel carries its per-rule
+        summary memo, compressed-input summaries are shared across
+        every query and batch of the session.
 
         Args:
             fsa: The machine to compile.
-            mode: Kernel mode override; defaults to the session's
-                :attr:`kernel_mode`.
 
         Returns:
-            The session-cached kernel for the resolved mode.
+            The session-cached kernel.
         """
-        from repro.fsa.determinize import classify_fragment
-        from repro.fsa.kernel import KERNEL_V1, KERNEL_V2, KERNEL_V3, kernel_for
+        from repro.fsa.kernel import kernel_for
 
-        resolved = self.kernel_mode if mode is None else mode
-        if resolved == KERNEL_V1 or classify_fragment(fsa) is None:
-            tier = KERNEL_V1
-        elif resolved == KERNEL_V3:
-            tier = KERNEL_V3
-        else:
-            tier = KERNEL_V2
         return self._kernel.get_or_compute(
-            (tier, fsa), self._activated(lambda: kernel_for(fsa, resolved))
+            fsa, self._activated(lambda: kernel_for(fsa))
         )
 
     def specialized(
@@ -273,14 +247,21 @@ class QueryEngine:
         from repro.fsa.generate import accepted_tuples
 
         fixed_key = tuple(sorted(fixed.items())) if fixed else ()
-        machine = self.specialized(fsa, fixed) if fixed else fsa
-        return self._generate.get_or_compute(
-            (fsa, max_length, fixed_key),
-            self._staged(
+
+        def generate() -> frozenset[tuple[str, ...]]:
+            # Specialize only on a generate miss, like the shard
+            # workers do, so the specialize cache reads the same at
+            # any worker count.
+            machine = self.specialized(fsa, fixed) if fixed else fsa
+            return self._staged(
                 "execute",
                 "execute.generate",
                 lambda: accepted_tuples(machine, max_length=max_length),
-            ),
+            )()
+
+        return self._generate.get_or_compute(
+            (fsa, max_length, fixed_key),
+            generate,
             depends=self._dep_context,
         )
 
@@ -305,7 +286,15 @@ class QueryEngine:
         fixed_key: tuple[tuple[int, str], ...],
         answers: frozenset[tuple[str, ...]],
     ) -> None:
-        """Fold a worker-computed answer set back into the cache."""
+        """Fold a worker-computed answer set back into the cache.
+
+        A non-empty ``fixed_key`` also counts as one ``specialize``
+        miss: the worker specialized the machine for it, exactly as
+        :meth:`generated` does on a miss, so ``--stats`` reads the same
+        at any worker count.
+        """
+        if fixed_key:
+            self._specialize.stats.misses += 1
         self._generate.store(
             (fsa, max_length, fixed_key), answers, depends=self._dep_context
         )
@@ -461,27 +450,25 @@ class QueryEngine:
         The optimizer's selection-fusion rule bottoms out here, so
         repeated queries fusing the same machine pair build the
         product once per session.  When both conjuncts sit inside the
-        Theorem 5.2 fragment (and the session is not pinned to kernel
-        v1) the intersection is built as a determinized scan-table
-        product (:func:`repro.fsa.determinize.lockstep_intersection`)
-        — the fused machine is then itself in fragment, so the whole
-        optimized selection runs as **one linear v2 pass**; otherwise
-        the two-way sequencing product of
+        Theorem 5.2 fragment the intersection is built as a
+        determinized scan-table product
+        (:func:`repro.fsa.determinize.lockstep_intersection`) — the
+        fused machine is then itself in fragment, so the whole
+        optimized selection runs as **one linear scan**; otherwise the
+        two-way sequencing product of
         :func:`repro.fsa.product.sequence_machines` is used.
         """
         from repro.fsa.determinize import lockstep_intersection
-        from repro.fsa.kernel import KERNEL_V1
         from repro.fsa.product import sequence_machines
 
         def build() -> "FSA":
-            if self.kernel_mode != KERNEL_V1:
-                fused = lockstep_intersection(first, second)
-                if fused is not None:
-                    return fused
+            fused = lockstep_intersection(first, second)
+            if fused is not None:
+                return fused
             return sequence_machines(first, second)
 
         return self._optimize.get_or_compute(
-            ("fuse", self.kernel_mode == KERNEL_V1, first, second),
+            ("fuse", first, second),
             self._staged("optimize", "optimize.fuse", build),
         )
 

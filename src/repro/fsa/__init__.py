@@ -11,15 +11,7 @@ from repro.fsa.determinize import (
     lockstep_intersection,
 )
 from repro.fsa.generate import accepted_tuples
-from repro.fsa.kernel import (
-    KERNEL_AUTO,
-    KERNEL_MODES,
-    KERNEL_V1,
-    KERNEL_V2,
-    CompiledKernel,
-    compile_kernel,
-    kernel_for,
-)
+from repro.fsa.kernel import CompiledKernel, compile_kernel, kernel_for
 from repro.fsa.machine import FSA, State, Transition, make_fsa, tape_symbol
 from repro.fsa.ops import disregard_tape, drop_tape, permute_tapes, widen
 from repro.fsa.simulate import (
@@ -41,10 +33,6 @@ __all__ = [
     "accepted_tuples",
     "CompiledKernel",
     "DeterministicKernel",
-    "KERNEL_AUTO",
-    "KERNEL_MODES",
-    "KERNEL_V1",
-    "KERNEL_V2",
     "classify_fragment",
     "compile_kernel",
     "determinize",

@@ -41,17 +41,36 @@ for the two-way sequencing product of :mod:`repro.fsa.product`, so
 optimized plans whose fused selections stay inside the fragment
 compile to one machine and one pass.
 
+The same table also accepts SLP-compressed cells
+(:mod:`repro.slp.grammar`).  Following the compositional MSO-over-SLP
+evaluation of Muñoz et al. (PAPERS.md: "Dynamic direct access of MSO
+query evaluation over SLP-compressed strings"), a single-tape SLP input
+is accepted **bottom-up over the grammar** instead of scanned: every
+rule ``X`` gets a *summary* — the function ``state → state`` the DFA
+computes across ``X``'s expansion, a flat ``array('l')`` indexed by
+state id.  A terminal rule's summary is one column of the table; a pair
+rule's summary is the composition ``h[s] = right[left[s]]`` of its
+children's.  Acceptance is then ``⊢-column → root summary → ⊣-column``,
+``O(rules · states)`` to build and **independent of the expanded
+length**.  Rules are interned process-wide, so summaries are memoized
+per ``(kernel, rule)`` and shared by every string, query and batch that
+contains the rule.
+
 Tracer counters: ``kernel.determinize`` (one per subset construction),
 ``kernel.dfa_states`` (DFA states built), ``kernel.v2_hits``
 (instance-cache hits), ``kernel.classify.hits`` (memoized fragment
-verdicts served), ``simulate.runs`` and ``simulate.scan_symbols``
-(columns consumed by v2 scans).
+verdicts served), ``kernel.slp_summaries`` (per-rule summaries built),
+``kernel.slp_expanded`` (multitape SLP cells expanded for the scan),
+``simulate.runs``, ``simulate.scan_symbols`` (columns consumed by
+scans) and ``simulate.grammar_rules`` (rules touched by grammar-path
+runs).
 """
 
 from __future__ import annotations
 
 from array import array
 from collections.abc import Sequence
+from itertools import chain
 
 from repro.core.alphabet import LEFT_END, RIGHT_END
 from repro.errors import AlphabetError, ArityError
@@ -65,6 +84,7 @@ from repro.fsa.machine import (
     register_kernel_stash,
 )
 from repro.observability import current_tracer
+from repro.slp.grammar import SLP, _Node, _postorder
 
 #: Fragment label for single-tape stay/right machines.
 UNIDIRECTIONAL = "unidirectional"
@@ -76,6 +96,10 @@ RIGHT_RESTRICTED = "right-restricted"
 #: subset construction; beyond it :func:`determinize` declines and the
 #: machine stays on the v1 kernel.
 MAX_DFA_CELLS = 1 << 20
+
+#: Bound on memoized per-rule summaries per kernel; reaching it evicts
+#: the oldest half between acceptance calls (never mid-composition).
+MAX_SUMMARIES = 1 << 16
 
 #: Fixed DFA state ids: the sticky reject sink, the sticky accept
 #: sink, and the start subset ``{s}``.
@@ -155,8 +179,19 @@ class DeterministicKernel:
     sticky reject sink, :data:`ACCEPT` (``1``) the sticky accept sink
     — a row's verdict is simply whether its scan ends in ``ACCEPT``.
 
+    Cells may be plain strings or :class:`~repro.slp.grammar.SLP`
+    values, mixed freely:
+
+    * plain strings are scanned (batches column-wise);
+    * a single-tape SLP input is folded over its grammar —
+      ``O(rules · states)``, the expansion never materialized;
+    * SLP cells of multitape rows are expanded (within the grammar's
+      decompression cap) and scanned, counted by
+      ``kernel.slp_expanded``.
+
     >>> from repro.core.alphabet import AB, LEFT_END, RIGHT_END
     >>> from repro.fsa.machine import make_fsa
+    >>> from repro.slp import compress, repeat
     >>> contains_ab = make_fsa(1, AB, "s", ["f"], [
     ...     ("s", (LEFT_END,), "scan", (+1,)),
     ...     ("scan", ("a",), "scan", (+1,)),
@@ -172,6 +207,9 @@ class DeterministicKernel:
     'unidirectional'
     >>> kernel.accepts_batch([("ab",), ("ba",), ("aab",), ("",)])
     (True, False, True, False)
+    >>> huge = repeat(compress("ba"), 10**12)  # 2·10¹² chars, ~60 rules
+    >>> kernel.accepts((huge,)), kernel.accepts((compress("bb"),))
+    (True, False)
     """
 
     __slots__ = (
@@ -183,6 +221,7 @@ class DeterministicKernel:
         "_symbol_count",
         "_char_ids",
         "_table",
+        "_summaries",
     )
 
     def __init__(
@@ -203,14 +242,16 @@ class DeterministicKernel:
         self._symbol_count = symbol_count
         self._char_ids = char_ids
         self._table = table
+        self._summaries: dict[_Node, array] = {}
 
     def __reduce__(self):
         """Pickle as the underlying machine; re-determinize on load.
 
         Mirrors :meth:`~repro.fsa.kernel.CompiledKernel.__reduce__`:
-        the dense table is cheap to rebuild, so a kernel crossing a
-        process boundary travels as its machine and re-enters the
-        worker's instance stash on arrival.
+        the dense table is cheap to rebuild and the summary memo is
+        scratch state, so a kernel crossing a process boundary travels
+        as its machine and re-enters the worker's instance stash on
+        arrival.
         """
         return (_rebuild, (self.fsa,))
 
@@ -255,18 +296,94 @@ class DeterministicKernel:
             columns.append(packed)
         return columns
 
+    def _expanded(self, row: tuple) -> tuple[str, ...]:
+        """``row`` with its SLP cells expanded for the scan."""
+        current_tracer().add(
+            "kernel.slp_expanded", sum(type(cell) is SLP for cell in row)
+        )
+        return tuple(
+            cell.expand() if type(cell) is SLP else cell for cell in row
+        )
+
+    # -- the grammar fold ------------------------------------------------
+
+    def _summary(self, root: _Node) -> array:
+        """The state→state summary of ``root``, memoized per rule.
+
+        Builds bottom-up over the rule DAG: terminal summaries read one
+        column of the scan table (the single ``// ncols`` per entry
+        converts the table's premultiplied targets into state ids),
+        pair summaries compose their children by indexing.  Sticky
+        sinks need no special casing — their table rows are constant,
+        so every summary maps ``DEAD → DEAD`` and ``ACCEPT → ACCEPT``.
+        """
+        summaries = self._summaries
+        cached = summaries.get(root)
+        if cached is not None:
+            return cached
+        if len(summaries) >= MAX_SUMMARIES:
+            # Evict between calls only, so in-flight compositions
+            # below never lose a child they still need.
+            for stale in list(summaries)[: MAX_SUMMARIES // 2]:
+                del summaries[stale]
+        table = self._table
+        ncols = self._ncols
+        states = range(self.dfa_states)
+        char_ids = self._char_ids
+        built = 0
+        for node in _postorder(root):
+            if node in summaries:
+                continue
+            if node.char is not None:
+                column = char_ids.get(node.char)
+                if column is None:
+                    raise AlphabetError(
+                        f"character {node.char!r} of a compressed input "
+                        f"is not in alphabet {self.fsa.alphabet}"
+                    )
+                summary = array(
+                    "l",
+                    [table[state * ncols + column] // ncols for state in states],
+                )
+            else:
+                left = summaries[node.left]
+                right = summaries[node.right]
+                summary = array("l", [right[state] for state in left])
+            summaries[node] = summary
+            built += 1
+        if built:
+            current_tracer().add("kernel.slp_summaries", built)
+        return summaries[root]
+
+    def _accepts_grammar(self, slp: SLP) -> bool:
+        """Grammar-path acceptance of one single-tape SLP input."""
+        table = self._table
+        ncols = self._ncols
+        state = table[START * ncols + self._symbol_count - 2] // ncols
+        rules = 0
+        if slp.root is not None:
+            state = self._summary(slp.root)[state]
+            rules = slp.stored_size()
+        state = table[state * ncols + self._symbol_count - 1] // ncols
+        tracer = current_tracer()
+        tracer.add("simulate.runs")
+        tracer.add("simulate.grammar_rules", rules)
+        return state == ACCEPT
+
     # -- acceptance entry points -----------------------------------------
 
-    def accepts(self, inputs: Sequence[str]) -> bool:
+    def accepts(self, inputs: Sequence[str | SLP]) -> bool:
         """One linear scan: does the machine accept ``inputs``?
 
         Exactly equivalent to
-        :func:`~repro.fsa.simulate.reference_accepts` (and hence to
-        the v1 kernel), including arity and alphabet validation.  The
-        scan exits early once it hits a sticky sink.
+        :func:`~repro.fsa.simulate.reference_accepts` on the expanded
+        row (and hence to the v1 kernel), including arity and alphabet
+        validation.  The scan exits early once it hits a sticky sink;
+        a single-tape SLP input takes the grammar fold instead.
 
         Args:
-            inputs: One string per tape.
+            inputs: One string or :class:`~repro.slp.grammar.SLP` per
+                tape.
 
         Returns:
             The acceptance verdict.
@@ -276,6 +393,10 @@ class DeterministicKernel:
             raise ArityError(
                 f"{self.arity}-FSA fed {len(inputs)} input strings"
             )
+        if SLP in map(type, inputs):
+            if self.arity == 1:
+                return self._accepts_grammar(inputs[0])
+            inputs = self._expanded(inputs)
         columns = self._columns(inputs)
         table = self._table
         ncols = self._ncols
@@ -293,9 +414,48 @@ class DeterministicKernel:
         return state == ncols
 
     def accepts_batch(
-        self, rows: Sequence[Sequence[str]]
+        self, rows: Sequence[Sequence[str | SLP]]
     ) -> tuple[bool, ...]:
         """:meth:`accepts` over a batch of rows, column-wise.
+
+        A batch of plain strings is swept through the table column by
+        column (:meth:`_sweep`).  Only a batch holding SLP cells pays
+        a per-row partition: single-tape grammar rows are folded, the
+        rest (with multitape cells expanded) swept as one sub-batch.
+
+        Args:
+            rows: The input tuples, each one string or
+                :class:`~repro.slp.grammar.SLP` per tape.
+
+        Returns:
+            Per-row verdicts, positionally aligned with ``rows``.
+        """
+        if SLP not in set(map(type, chain.from_iterable(rows))):
+            return self._sweep(rows)
+        arity = self.arity
+        verdicts: list[bool | None] = [None] * len(rows)
+        scan_rows: list[tuple] = []
+        scan_slots: list[int] = []
+        for slot, row in enumerate(rows):
+            row = tuple(row)
+            if len(row) != arity:
+                raise ArityError(
+                    f"{arity}-FSA fed {len(row)} input strings"
+                )
+            if arity == 1 and type(row[0]) is SLP:
+                verdicts[slot] = self._accepts_grammar(row[0])
+                continue
+            if SLP in map(type, row):
+                row = self._expanded(row)
+            scan_rows.append(row)
+            scan_slots.append(slot)
+        if scan_rows:
+            for slot, verdict in zip(scan_slots, self._sweep(scan_rows)):
+                verdicts[slot] = verdict
+        return tuple(verdicts)
+
+    def _sweep(self, rows: Sequence[Sequence[str]]) -> tuple[bool, ...]:
+        """The column-wise scan of a batch of plain-string rows.
 
         Rows are validated and interned in one pass, grouped by scan
         length, and each group is driven through the transition table
@@ -304,12 +464,6 @@ class DeterministicKernel:
         flat ``array('l')`` table.  Rows that hit a sticky sink simply
         spin there for the remaining columns (one table read each), so
         the sweep needs no per-row control flow.
-
-        Args:
-            rows: The input tuples, each one string per tape.
-
-        Returns:
-            Per-row verdicts, positionally aligned with ``rows``.
         """
         arity = self.arity
         prepared = []

@@ -35,23 +35,18 @@ machine instance itself (``kernel_for``), in
 :class:`~repro.engine.QueryEngine` sessions (the ``kernel`` keyed
 cache) and once per shard in parallel workers.
 
-Since kernel v2 (:mod:`repro.fsa.determinize`), this module is also
-the **mode dispatcher**: :func:`kernel_for` takes a kernel mode —
-:data:`KERNEL_V1` (always the worklist kernel), :data:`KERNEL_V2`
-(determinized scan, or v1 fallback when the machine is out of the
-Theorem 5.2 fragment), :data:`KERNEL_V3` (the grammar-compositional
-kernel of :mod:`repro.slp.kernel`, which additionally accepts
-SLP-compressed inputs in time proportional to the *grammar*, with the
-same fragment condition and v1 fallback) or :data:`KERNEL_AUTO` (the
-default: v2 when the fragment detector says yes, v1 otherwise) — and
-returns whichever kernel object will answer
-``accepts``/``accepts_batch`` fastest while staying exactly
-equivalent to the reference search.
+Since kernel v2 (:mod:`repro.fsa.determinize`), :func:`kernel_for` is
+also the **dispatcher**, and the machine alone decides: a machine inside
+the Theorem 5.2 fragment whose DFA fits :data:`~repro.fsa.determinize
+.MAX_DFA_CELLS` gets the determinized scan kernel (which also folds
+SLP-compressed cells on their grammar); every other machine gets the
+worklist :class:`CompiledKernel`.  Both are exactly equivalent to the
+reference search, so the choice is never observable in answers.
 
 Tracer counters: ``kernel.compile`` (one per compilation),
-``kernel.hits`` (instance-cache hits), ``kernel.fallback`` (v2-eligible
-requests answered by v1 because the machine is out of fragment or over
-the DFA budget), ``simulate.runs`` and
+``kernel.hits`` (instance-cache hits), ``kernel.fallback`` (machines
+answered by this kernel because they are out of fragment or over the
+DFA budget), ``simulate.runs`` and
 ``simulate.kernel_configurations`` (configurations explored per run).
 """
 
@@ -68,27 +63,6 @@ from repro.observability import current_tracer
 #: eviction is oldest-first, like :class:`~repro.engine.caches
 #: .KeyedCache`.
 MAX_BINDINGS = 64
-
-#: Kernel mode: always the v1 worklist kernel.
-KERNEL_V1 = "v1"
-
-#: Kernel mode: the determinized v2 scan kernel, falling back to v1
-#: (transparently, counter ``kernel.fallback``) out of fragment.
-KERNEL_V2 = "v2"
-
-#: Kernel mode: the grammar-compositional v3 kernel
-#: (:mod:`repro.slp.kernel`) — the v2 scan table plus per-rule
-#: summaries, so SLP-compressed inputs are accepted in
-#: ``O(rules · states)``; plain strings scan exactly like v2.  Falls
-#: back to v1 (counter ``kernel.fallback``) out of fragment.
-KERNEL_V3 = "v3"
-
-#: Kernel mode: v2 when the fragment detector allows it, else v1.
-#: The default everywhere.
-KERNEL_AUTO = "auto"
-
-#: All recognized kernel modes, in precedence order.
-KERNEL_MODES = (KERNEL_V1, KERNEL_V2, KERNEL_V3, KERNEL_AUTO)
 
 #: Stash attribute for the per-instance v1 compiled kernel.
 _STASH = "_kernel"
@@ -411,10 +385,8 @@ def compile_kernel(fsa: FSA) -> CompiledKernel:
     return kernel
 
 
-def kernel_for(
-    fsa: FSA, mode: str = KERNEL_AUTO
-) -> CompiledKernel | DeterministicKernel:
-    """The acceptance kernel of ``fsa`` under ``mode``, instance-cached.
+def kernel_for(fsa: FSA) -> CompiledKernel | DeterministicKernel:
+    """The acceptance kernel of ``fsa``, instance-cached.
 
     Kernels are stashed via ``object.__setattr__`` (the same trick the
     frozen :class:`~repro.fsa.machine.FSA` uses for its adjacency
@@ -422,47 +394,27 @@ def kernel_for(
     hashing on the hot path.  The stashes are excluded from pickling;
     a worker process compiles once per machine it receives.
 
-    Mode dispatch: :data:`KERNEL_V1` always returns the worklist
-    :class:`CompiledKernel`; :data:`KERNEL_V2` and :data:`KERNEL_AUTO`
-    return the determinized
-    :class:`~repro.fsa.determinize.DeterministicKernel` when the
-    machine is inside the Theorem 5.2 fragment and within the DFA
-    budget; :data:`KERNEL_V3` returns the grammar-compositional
-    :class:`~repro.slp.kernel.SLPKernel` (sharing the same DFA table,
-    plus per-rule summaries for SLP-compressed inputs) under the same
-    fragment condition.  Out of fragment, every tier falls back to v1
-    **transparently** — the verdicts are identical either way —
-    bumping the ``kernel.fallback`` counter so the fallback is
-    observable.
+    The machine picks the kernel: the determinized
+    :class:`~repro.fsa.determinize.DeterministicKernel` when it is
+    inside the Theorem 5.2 fragment and within the DFA budget, the
+    worklist :class:`CompiledKernel` otherwise — bumping the
+    ``kernel.fallback`` counter so the fallback is observable.  The
+    verdicts are identical either way.
 
     Args:
         fsa: The machine whose kernel is wanted.
-        mode: One of :data:`KERNEL_MODES` (default :data:`KERNEL_AUTO`).
 
     Returns:
-        The (possibly freshly compiled) kernel for ``mode``.
+        The (possibly freshly compiled) kernel.
     """
-    if mode not in KERNEL_MODES:
-        raise ValueError(
-            f"unknown kernel mode {mode!r}; expected one of {KERNEL_MODES}"
-        )
-    if mode == KERNEL_V3:
-        # Imported lazily: repro.slp.kernel builds on this module's
-        # sibling (determinize), so a top-level import would cycle.
-        from repro.slp.kernel import slp_kernel_for
-
-        grammar_kernel = slp_kernel_for(fsa)
-        if grammar_kernel is not None:
-            return grammar_kernel
-        current_tracer().add("kernel.fallback")
-    elif mode != KERNEL_V1:
-        determinized = determinized_for(fsa)
-        if determinized is not None:
-            return determinized
-        current_tracer().add("kernel.fallback")
+    determinized = determinized_for(fsa)
+    if determinized is not None:
+        return determinized
+    tracer = current_tracer()
+    tracer.add("kernel.fallback")
     kernel = fsa.__dict__.get(_STASH)
     if kernel is not None:
-        current_tracer().add("kernel.hits")
+        tracer.add("kernel.hits")
         return kernel
     kernel = compile_kernel(fsa)
     object.__setattr__(fsa, _STASH, kernel)
@@ -472,11 +424,6 @@ def kernel_for(
 __all__ = [
     "CompiledKernel",
     "DeterministicKernel",
-    "KERNEL_AUTO",
-    "KERNEL_MODES",
-    "KERNEL_V1",
-    "KERNEL_V2",
-    "KERNEL_V3",
     "compile_kernel",
     "kernel_for",
     "MAX_BINDINGS",

@@ -39,8 +39,7 @@ def register_kernel_stash(name: str) -> None:
 
     Called once at import time by each module that caches derived
     state on :class:`FSA` instances via ``object.__setattr__``
-    (:mod:`repro.fsa.kernel`, :mod:`repro.fsa.determinize`,
-    :mod:`repro.slp.kernel`).
+    (:mod:`repro.fsa.kernel`, :mod:`repro.fsa.determinize`).
 
     Args:
         name: The attribute name the caller stashes under.
@@ -146,8 +145,7 @@ class FSA:
 
         Every kernel tier caches derived state on the instance via
         ``object.__setattr__`` — the v1 compiled kernel, the v2
-        determinization verdict, the v3 grammar kernel, the fragment
-        label — and registers its stash attribute in
+        determinization verdict, the fragment label — and registers its stash attribute in
         :data:`_KERNEL_STASHES` (:func:`register_kernel_stash`).
         Workers rebuild everything locally (one compile per machine
         per process), so shipping the stashes would only inflate shard

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from repro.errors import ArityError
-from repro.fsa.kernel import KERNEL_AUTO, kernel_for
+from repro.fsa.kernel import kernel_for
 from repro.fsa.machine import FSA, Transition, tape_symbol
 from repro.observability import current_tracer
 
@@ -77,18 +77,16 @@ def _check_arity(fsa: FSA, inputs: Sequence[str]) -> None:
         fsa.alphabet.validate_string(content)
 
 
-def accepts(
-    fsa: FSA, inputs: Sequence[str], *, kernel: str = KERNEL_AUTO
-) -> bool:
+def accepts(fsa: FSA, inputs: Sequence[str]) -> bool:
     """Does ``fsa`` accept the input tuple?  (Theorem 3.3 algorithm.)
 
     Delegates to the machine's acceptance kernel
-    (:mod:`repro.fsa.kernel`): either the compiled configuration-graph
-    search (v1) or — for machines in the Theorem 5.2 fragment — the
-    determinized linear scan (v2), selected by ``kernel``.  Exactly
-    equivalent to :func:`reference_accepts` in every mode.
+    (:func:`repro.fsa.kernel.kernel_for`): the determinized linear scan
+    for machines in the Theorem 5.2 fragment, the compiled
+    configuration-graph search otherwise.  Exactly equivalent to
+    :func:`reference_accepts` either way.
     """
-    return kernel_for(fsa, kernel).accepts(inputs)
+    return kernel_for(fsa).accepts(inputs)
 
 
 def reference_accepts(fsa: FSA, inputs: Sequence[str]) -> bool:
@@ -123,18 +121,18 @@ def reference_accepts(fsa: FSA, inputs: Sequence[str]) -> bool:
 
 
 def accepts_batch(
-    fsa: FSA, rows: Sequence[Sequence[str]], *, kernel: str = KERNEL_AUTO
+    fsa: FSA, rows: Sequence[Sequence[str]]
 ) -> tuple[bool, ...]:
     """:func:`accepts` over a batch of input tuples, in order.
 
     The shard entry point of :mod:`repro.parallel` for selection
     filtering: one pickled machine answers a whole slice of rows in
-    the worker.  The kernel for ``kernel`` mode is compiled (or
-    fetched) once for the whole batch and rows are validated in one
-    pass; the v2 scan kernel additionally sweeps the batch
-    column-wise through its dense transition table.
+    the worker.  The kernel is compiled (or fetched) once for the
+    whole batch and rows are validated in one pass; the scan kernel
+    additionally sweeps the batch column-wise through its dense
+    transition table.
     """
-    return kernel_for(fsa, kernel).accepts_batch(rows)
+    return kernel_for(fsa).accepts_batch(rows)
 
 
 def accepting_run(

@@ -13,7 +13,10 @@ call when an executor is in play:
 2. the remaining distinct bindings are sharded across the pool as
    :class:`~repro.parallel.tasks.GenerateShardTask` batches;
 3. worker results are folded back into the session cache, so the next
-   query — parallel or not — reuses them.
+   query — parallel or not — reuses them; each folded binding with a
+   non-empty ``fixed`` map also counts the ``specialize`` miss its
+   worker paid, so the session's cache stats do not depend on the
+   worker count.
 """
 
 from __future__ import annotations
@@ -132,7 +135,6 @@ def filter_accepted(
     rows: Sequence[tuple[str, ...]],
     *,
     executor: "ParallelExecutor | None" = None,
-    kernel_mode: str = "auto",
 ) -> frozenset[tuple[str, ...]]:
     """The rows accepted by ``fsa`` — sharded when an executor is given.
 
@@ -142,9 +144,6 @@ def filter_accepted(
         executor: Optional :class:`~repro.parallel.ParallelExecutor`;
             when given the acceptance checks are sharded as
             :class:`~repro.parallel.tasks.SimulateShardTask` batches.
-        kernel_mode: Acceptance-kernel mode (``"v1"``, ``"v2"``,
-            ``"v3"`` or ``"auto"``), forwarded to the kernel
-            dispatcher both in-process and inside shard workers.
 
     Returns:
         The subset of ``rows`` the machine accepts.
@@ -155,19 +154,14 @@ def filter_accepted(
 
         # One compiled kernel, one validation pass, shared scratch
         # buffers for the whole row batch (repro.fsa.kernel) — and
-        # one column-wise table sweep under the v2 scan kernel.
-        verdicts = accepts_batch(fsa, rows, kernel=kernel_mode)
+        # one column-wise table sweep under the scan kernel.
+        verdicts = accepts_batch(fsa, rows)
         return frozenset(
             row for row, verdict in zip(rows, verdicts) if verdict
         )
     shards = executor.plan(len(rows))
     tasks = [
-        SimulateShardTask(
-            shard,
-            fsa,
-            tuple(rows[shard.start : shard.stop]),
-            kernel_mode,
-        )
+        SimulateShardTask(shard, fsa, tuple(rows[shard.start : shard.stop]))
         for shard in shards
     ]
     shard_results = executor.run(tasks)

@@ -181,18 +181,11 @@ class GenerateShardTask:
 
 @dataclass(frozen=True)
 class SimulateShardTask:
-    """Acceptance checks of one machine on a slice of concrete rows.
-
-    ``kernel_mode`` rides along so a session pinned to ``"v1"`` (or
-    forced to ``"v2"``) keeps that choice inside worker processes;
-    the default ``"auto"`` picks the determinized scan kernel for
-    in-fragment machines and the worklist kernel otherwise.
-    """
+    """Acceptance checks of one machine on a slice of concrete rows."""
 
     shard: Shard
     fsa: "FSA"
     rows: tuple[tuple[str, ...], ...]
-    kernel_mode: str = "auto"
 
     def __post_init__(self) -> None:
         if len(self.rows) != self.shard.size:
@@ -216,15 +209,12 @@ class SimulateShardTask:
         The machine is compiled to its acceptance kernel once per
         shard in the worker (:func:`repro.fsa.kernel.kernel_for`
         caches it on the unpickled machine instance), so every row of
-        the batch runs on the same dense tables — the v2 scan table
-        for in-fragment machines under ``auto``/``v2``, the v1
-        dispatch table otherwise.
+        the batch runs on the same dense tables — the scan table for
+        in-fragment machines, the v1 dispatch table otherwise.
         """
         from repro.fsa.kernel import kernel_for
 
-        verdicts = kernel_for(self.fsa, self.kernel_mode).accepts_batch(
-            self.rows
-        )
+        verdicts = kernel_for(self.fsa).accepts_batch(self.rows)
         return tuple(
             (self.shard.start + offset, verdict)
             for offset, verdict in enumerate(verdicts)

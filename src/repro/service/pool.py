@@ -39,9 +39,7 @@ class SessionPool:
         size: Maximum concurrently evaluating requests (slot count and
             executor thread count).
         session: The shared :class:`~repro.engine.QueryEngine`; built
-            fresh (with ``kernel_mode``) when omitted.
-        kernel_mode: Forwarded to the session constructor when no
-            session is supplied.
+            fresh when omitted.
 
     The pool tracks queue depth and slot occupancy so the admission
     controller can bound waiting and the ``stats`` op can report
@@ -53,15 +51,11 @@ class SessionPool:
         *,
         size: int = DEFAULT_POOL_SIZE,
         session: QueryEngine | None = None,
-        kernel_mode: str = "auto",
     ) -> None:
         if size < 1:
             raise ValueError("pool size must be >= 1")
         self.size = size
-        self.session = (
-            session if session is not None
-            else QueryEngine(kernel_mode=kernel_mode)
-        )
+        self.session = session if session is not None else QueryEngine()
         self._slots = asyncio.Semaphore(size)
         self._executor = ThreadPoolExecutor(
             max_workers=size, thread_name_prefix="repro-service"

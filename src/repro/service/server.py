@@ -143,7 +143,7 @@ class QueryService:
         port: TCP port; ``0`` picks a free one (read it back from
             :attr:`address` after :meth:`start`).
         pool: A pre-built :class:`SessionPool`; built from
-            ``pool_size``/``kernel_mode`` when omitted.
+            ``pool_size`` when omitted.
         pool_size: Slot count for the built pool.
         admission: A pre-built :class:`AdmissionController`; built
             from ``max_cost``/``max_queue`` when omitted.
@@ -157,7 +157,6 @@ class QueryService:
             not specify it (lets big plans shard via
             :mod:`repro.parallel`).
         default_shards: Likewise for the shard count.
-        kernel_mode: Acceptance-kernel mode for the built session.
         report_log: Optional path; one JSON line per evaluated request
             — the :class:`~repro.observability.TraceReport` document
             wrapped as ``{"request": id, "op": ..., "report": {...}}``.
@@ -181,14 +180,13 @@ class QueryService:
         default_engine: str = "auto",
         default_workers: int | None = None,
         default_shards: int | None = None,
-        kernel_mode: str = "auto",
         report_log: str | None = None,
         on_report: Callable[[Any, str, TraceReport], None] | None = None,
     ) -> None:
         self.db = db
         self.host = host
         self.port = port
-        self.pool = pool or SessionPool(size=pool_size, kernel_mode=kernel_mode)
+        self.pool = pool or SessionPool(size=pool_size)
         self.admission = admission or AdmissionController(
             max_cost=max_cost, max_queue=max_queue
         )

@@ -1,19 +1,17 @@
-"""The SLP-compressed string domain: grammars + the kernel-v3 path.
+"""The SLP-compressed string domain: straight-line-program grammars.
 
-Two modules:
-
-* :mod:`repro.slp.grammar` — the straight-line-program representation
-  (interned binary rules, deterministic :func:`~repro.slp.grammar
-  .compress`, guarded :meth:`~repro.slp.grammar.SLP.expand`, and the
-  grammar-level observers the storage backend and cost model consume).
-* :mod:`repro.slp.kernel` — kernel v3: acceptance of compressed
-  strings evaluated *on the grammar*, composing per-rule state→state
-  summaries over the v2 DFA table, so a verdict costs
-  ``O(rules · states)`` instead of ``O(expanded length)``.
+:mod:`repro.slp.grammar` holds the representation (interned binary
+rules, deterministic :func:`~repro.slp.grammar.compress`, guarded
+:meth:`~repro.slp.grammar.SLP.expand`, and the grammar-level observers
+the storage backend and cost model consume).
 
 The compressed relation backend lives in :mod:`repro.storage.slp`
-(``--storage slp``); the kernel tier is ``--kernel v3`` / the
-``KERNEL_V3`` mode of :func:`repro.fsa.kernel.kernel_for`.
+(``--storage slp``).  Acceptance of compressed strings needs no
+separate kernel: the determinized scan kernel
+(:class:`repro.fsa.determinize.DeterministicKernel`) folds a
+single-tape SLP cell over its grammar, composing per-rule state→state
+summaries, so a verdict costs ``O(rules · states)`` instead of
+``O(expanded length)``.
 """
 
 from repro.slp.grammar import (
@@ -26,18 +24,14 @@ from repro.slp.grammar import (
     literal,
     repeat,
 )
-from repro.slp.kernel import MAX_SUMMARIES, SLPKernel, slp_kernel_for
 
 __all__ = [
     "DEFAULT_EXPAND_LIMIT",
-    "MAX_SUMMARIES",
     "SLP",
-    "SLPKernel",
     "compress",
     "concat",
     "expand",
     "expanded_length",
     "literal",
     "repeat",
-    "slp_kernel_for",
 ]

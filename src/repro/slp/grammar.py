@@ -4,9 +4,10 @@ A straight-line program (SLP) is a context-free grammar in Chomsky
 normal form that derives exactly one string: every rule is either a
 *terminal* rule ``X → c`` or a *pair* rule ``X → Y Z``.  The derived
 string can be exponentially longer than the grammar — ``aⁿ`` needs
-only ``O(log n)`` rules — which is what lets the kernel-v3 acceptance
-path (:mod:`repro.slp.kernel`) answer queries about strings far past
-what the uncompressed pipeline could even materialize.
+only ``O(log n)`` rules — which is what lets the grammar fold of the
+scan kernel (:class:`repro.fsa.determinize.DeterministicKernel`) answer
+queries about strings far past what the uncompressed pipeline could
+even materialize.
 
 Rules are **hash-consed**: structurally identical nodes are interned
 process-wide, so equal subtrees are shared, structural equality is
@@ -37,8 +38,8 @@ from collections.abc import Iterator
 from repro.errors import SLPError
 
 #: Default cap on :meth:`SLP.expand` output, in characters.  An SLP
-#: over the cap is exactly the payload kernel v3 exists for; expanding
-#: it is almost certainly a bug, so it raises instead.
+#: over the cap is exactly the payload the grammar fold exists for;
+#: expanding it is almost certainly a bug, so it raises instead.
 DEFAULT_EXPAND_LIMIT = 1 << 24
 
 #: The process-wide rule interner: ``('t', char)`` for terminal rules,
@@ -168,7 +169,7 @@ class SLP:
         """The number of distinct rules in the grammar (its DAG size).
 
         This is the unit the cost model prices compressed columns in:
-        a kernel-v3 acceptance pass touches each rule at most once.
+        a grammar-fold acceptance pass touches each rule at most once.
         """
         if self._root is None:
             return 0

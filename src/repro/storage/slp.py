@@ -21,11 +21,12 @@ of the storage protocol without decompressing anything:
 
 Only the enumeration surfaces — :meth:`scan` / :attr:`tuples` /
 :meth:`column` / :meth:`rows_for` — expand cells, lazily and with a
-per-row cache, because the evaluation engines consume plain strings.
-Under a prefilter-carrying plan only candidate rows are ever decoded;
-cells past the decompression cap are exactly the payloads meant for
-the direct kernel-v3 path (:meth:`cell` hands the compressed value to
-:class:`~repro.slp.kernel.SLPKernel` without expanding).
+per-row cache, because the evaluation engines consume plain strings:
+engine reads never hand a compressed cell to a kernel.  Under a
+prefilter-carrying plan only candidate rows are ever decoded.  The
+grammar fold of the scan kernel
+(:class:`~repro.fsa.determinize.DeterministicKernel`) accepts SLP
+cells directly, for callers that hold grammars themselves.
 
 The prefilter is *superset-sound* like the n-gram index: a candidate
 set may include false positives (gram-set containment ignores factor
@@ -315,18 +316,6 @@ class SLPStorage:
         """
         for row_id in sorted(set(row_ids)):
             yield self._decode(row_id)
-
-    def cell(self, row_id: int, column: int) -> SLP:
-        """The *compressed* cell — the kernel-v3 entry point.
-
-        Args:
-            row_id: The row id.
-            column: The column index.
-
-        Returns:
-            The stored grammar, never expanded.
-        """
-        return self._rows[row_id][column]
 
     # -- derivation ------------------------------------------------------
 

@@ -5,7 +5,8 @@ across every workload generator) must leave a warm session — deltas
 applied via ``apply_delta``, answers maintained via ``materialize=True``
 — byte-identical to from-scratch evaluation on a fresh session, for
 every engine; a fixed interleaving then sweeps the full engine ×
-kernel-mode × worker matrix.
+worker matrix, plus a forced-v1 column (the ``forced_v1`` fixture makes
+the determinizer decline in-process, so it runs at one worker).
 """
 
 import pytest
@@ -17,11 +18,14 @@ from repro.core.query import Query
 from repro.core.syntax import And, Not, exists, f_or, lift, rel
 from repro.delta import Delta
 from repro.engine import QueryEngine
-from repro.fsa.kernel import KERNEL_MODES
 from tests.storage.test_differential import GENERATORS
 
 ENGINES = ("naive", "planner", "algebra", "auto")
 WORKER_COUNTS = (1, 2, 4)
+
+#: Matrix columns ``(kernels, workers)``: ``auto`` lets each machine
+#: pick its kernel, ``v1`` forces the worklist kernel in-process.
+COLUMNS = [("auto", workers) for workers in WORKER_COUNTS] + [("v1", 1)]
 CAP = 2
 
 
@@ -117,7 +121,7 @@ def test_interleavings_agree_on_every_workload_generator(
 
 
 #: A fixed interleaving mixing inserts, deletes and a resurrect, used
-#: for the exhaustive engine × kernel × worker matrix below.
+#: for the exhaustive engine × worker matrix below.
 _FIXED_OPS = (
     ("insert", "R1", ("a", "ab")),
     ("delete", "R2", 0),
@@ -127,12 +131,15 @@ _FIXED_OPS = (
 )
 
 
-@pytest.mark.parametrize("workers", WORKER_COUNTS)
-@pytest.mark.parametrize("kernel_mode", KERNEL_MODES)
-def test_fixed_interleaving_full_matrix(kernel_mode, workers):
+@pytest.mark.parametrize(
+    "kernels,workers", COLUMNS, ids=[f"{k}-{w}" for k, w in COLUMNS]
+)
+def test_fixed_interleaving_full_matrix(kernels, workers, request):
+    if kernels == "v1":
+        request.getfixturevalue("forced_v1")
     db = GENERATORS["example"](3)
-    warm = QueryEngine(kernel_mode=kernel_mode)
-    oracle = QueryEngine(kernel_mode=kernel_mode)
+    warm = QueryEngine()
+    oracle = QueryEngine()
     for _, query in QUERIES:
         warm.evaluate(query, db, length=CAP, materialize=True)
     for op in _FIXED_OPS:

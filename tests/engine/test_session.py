@@ -124,17 +124,28 @@ class TestCacheKeying:
 
 class TestWarmEvaluation:
     def test_warm_run_hits_compile_specialize_limit(self):
-        session = QueryEngine()
-        q = generation_query()
-        cold = session.evaluate(q, db())
-        warm = session.evaluate(q, db())
-        assert cold == warm
-        caches = session.stats.caches
-        assert caches["compile"].hits > 0
-        assert caches["specialize"].hits > 0
-        assert caches["generate"].hits > 0
-        assert caches["limit"].hits > 0
-        assert caches["ir"].hits > 0
+        # workers=2 sends the generator branch through the shard
+        # executor; the cache counts must not depend on that.
+        counts = {}
+        for workers in (1, 2):
+            session = QueryEngine()
+            q = generation_query()
+            cold = session.evaluate(q, db(), workers=workers)
+            warm = session.evaluate(q, db(), workers=workers)
+            assert cold == warm
+            counts[workers] = {
+                name: (stats.hits, stats.misses)
+                for name, stats in session.stats.caches.items()
+            }
+        assert counts[1] == counts[2]
+        caches = counts[1]
+        assert caches["compile"][0] > 0
+        # Specialization runs only on generate misses: the cold run
+        # specializes, the warm run is served from the generate cache.
+        assert caches["specialize"] == (0, caches["generate"][1])
+        assert caches["generate"][0] > 0
+        assert caches["limit"][0] > 0
+        assert caches["ir"][0] > 0
 
     def test_sessions_are_isolated(self):
         q = generation_query()

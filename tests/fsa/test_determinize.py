@@ -264,16 +264,6 @@ class TestCountersAndCache:
         assert fsa.__dict__["_kernel_v2"] == "unsupported"
         assert determinized_for(fsa) is None  # served from the stash
 
-    def test_forced_v1_never_returns_v2(self):
-        fsa = _compiled(sh.equals)
-        assert isinstance(kernel_for(fsa), DeterministicKernel)
-        assert isinstance(kernel_for(fsa, "v1"), CompiledKernel)
-        assert isinstance(kernel_for(fsa, "v2"), DeterministicKernel)
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            kernel_for(_compiled(sh.equals), "v9")
-
 
 # -- pickling (the satellite-3 regression) ------------------------------
 
@@ -285,6 +275,7 @@ class TestPickling:
         assert "_kernel_v2" in fsa.__dict__
         clone = pickle.loads(pickle.dumps(fsa))
         assert "_kernel_v2" not in clone.__dict__
+        assert "_fragment" not in clone.__dict__
         assert "_kernel" not in clone.__dict__
         assert clone == fsa
 

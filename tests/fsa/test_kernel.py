@@ -237,15 +237,15 @@ class TestKernelCache:
         assert first == second  # structurally equal machines...
         assert kernel_for(first) is not kernel_for(second)  # ...per instance
 
-    def test_compile_and_hit_counters(self):
+    def test_compile_and_hit_counters(self, forced_v1):
         # The equality machine is in the v2 fragment, so the v1
-        # counters are observed by pinning the mode.
+        # counters are observed with the determinizer declining.
         fsa = equality_machine()
         tracer = Tracer()
         with activate(tracer):
-            kernel_for(fsa, "v1")
-            kernel_for(fsa, "v1")
-            accepts(fsa, ("ab", "ab"), kernel="v1")
+            kernel_for(fsa)
+            kernel_for(fsa)
+            accepts(fsa, ("ab", "ab"))
         assert tracer.counters["kernel.compile"] == 1
         assert tracer.counters["kernel.hits"] == 2
         assert tracer.counters["simulate.runs"] == 1

@@ -1,14 +1,16 @@
-"""Kernel-mode conformance: v1 ≡ v2 ≡ auto across the whole stack.
+"""Kernel conformance: the kernel is never observable in answers.
 
-The kernel dispatcher's contract is that the kernel mode is *never*
-observable in answers: for every workload generator, every registered
-engine, every ``--kernel`` mode and every worker count, the evaluated
-answer sets must be byte-identical (compared as sorted tuple lists)
-to the v1-pinned naive reference.  This file drives exactly that
-matrix, plus the cache-keying half of the contract — a session's
-kernel :class:`~repro.engine.caches.KeyedCache` must keep v1 and v2
-kernels for one machine under distinct keys — and the pickling half:
-v2 scan tables survive the ``SimulateShardTask`` worker round trip.
+The machine picks its acceptance kernel (the determinized scan inside
+the Theorem 5.2 fragment, the v1 worklist kernel otherwise), and that
+choice must never show in answers: for every workload generator, every
+registered engine and every worker count, the evaluated answer sets
+must be byte-identical (compared as sorted tuple lists) to the naive
+reference.  A forced-v1 column (the ``forced_v1`` fixture makes the
+determinizer decline in-process) runs the same matrix with every
+machine on the worklist kernel.  The file also checks that the machine
+picks the session's kernel, that the fixture reaches machines that
+already carry a scan kernel, and the pickling contract: scan tables
+survive the ``SimulateShardTask`` worker round trip.
 """
 
 import pytest
@@ -20,7 +22,7 @@ from repro.core.syntax import And, Not, Var, exists, lift, rel
 from repro.engine import ParallelEngine, QueryEngine
 from repro.fsa.compile import compile_string_formula
 from repro.fsa.determinize import DeterministicKernel
-from repro.fsa.kernel import KERNEL_MODES, CompiledKernel
+from repro.fsa.kernel import CompiledKernel, kernel_for
 from repro.fsa.simulate import reference_accepts
 from repro.parallel import ParallelExecutor
 from repro.parallel.generation import filter_accepted
@@ -37,6 +39,12 @@ DNA = Alphabet("acgt")
 
 #: The worker counts the conformance matrix must cover.
 WORKER_COUNTS = (1, 2, 4)
+
+#: Matrix columns ``(kernels, workers)``: ``auto`` lets each machine
+#: pick its kernel; ``v1`` forces the worklist kernel through the
+#: ``forced_v1`` fixture, which only patches this process, so it runs
+#: at one worker.
+COLUMNS = [("auto", workers) for workers in WORKER_COUNTS] + [("v1", 1)]
 
 #: Every registered engine; ``parallel`` is driven via a configured
 #: :class:`~repro.engine.ParallelEngine` so tiny workloads still cross
@@ -120,57 +128,61 @@ def _queries(alphabet):
 DATABASES = list(_databases())
 DB_PARAMS = [pytest.param(name, db, id=name) for name, db in DATABASES]
 
-#: One long-lived session per kernel mode, so the matrix also
-#: exercises per-mode cache reuse across its cells.
-_SESSIONS = {mode: QueryEngine(kernel_mode=mode) for mode in KERNEL_MODES}
+#: One long-lived session for the ``auto`` columns, so the matrix also
+#: exercises cache reuse across its cells.
+_SESSION = QueryEngine()
 _REFERENCES: dict = {}
 
 
 def _reference(dbname, qname, query, db, bound):
-    """The v1-pinned naive answer, computed once per (db, query)."""
+    """The naive answer, computed once per (db, query)."""
     key = (dbname, qname)
     if key not in _REFERENCES:
         _REFERENCES[key] = sorted(
-            _SESSIONS["v1"].evaluate(query, db, length=bound, engine="naive")
+            QueryEngine().evaluate(query, db, length=bound, engine="naive")
         )
     return _REFERENCES[key]
 
 
-@pytest.mark.parametrize("workers", WORKER_COUNTS)
-@pytest.mark.parametrize("kernel_mode", KERNEL_MODES)
+@pytest.mark.parametrize(
+    "kernels,workers", COLUMNS, ids=[f"{k}-{w}" for k, w in COLUMNS]
+)
+@pytest.mark.parametrize("engine_name", ENGINES)
 @pytest.mark.parametrize("dbname,db", DB_PARAMS)
-def test_conformance_matrix(dbname, db, kernel_mode, workers):
-    """generator × engine × kernel mode × workers: identical answers."""
-    session = _SESSIONS[kernel_mode]
+def test_conformance_matrix(
+    dbname, db, engine_name, kernels, workers, request
+):
+    """generator × engine × workers (+ forced v1): identical answers."""
+    if kernels == "v1":
+        request.getfixturevalue("forced_v1")
+        session = QueryEngine()
+    else:
+        session = _SESSION
+    engine = (
+        ParallelEngine(workers=workers, shards=3, min_parallel_items=1)
+        if engine_name == "parallel"
+        else engine_name
+    )
     bound = db.max_string_length() + 1
     for qname, query in _queries(db.alphabet):
         reference = _reference(dbname, qname, query, db, bound)
-        for engine_name in ENGINES:
-            engine = (
-                ParallelEngine(
-                    workers=workers, shards=3, min_parallel_items=1
-                )
-                if engine_name == "parallel"
-                else engine_name
+        got = sorted(
+            session.evaluate(
+                query,
+                db,
+                length=bound,
+                engine=engine,
+                workers=workers,
+                shards=3,
             )
-            got = sorted(
-                session.evaluate(
-                    query,
-                    db,
-                    length=bound,
-                    engine=engine,
-                    workers=workers,
-                    shards=3,
-                )
-            )
-            assert got == reference, (
-                f"{dbname}/{qname}: engine={engine_name} "
-                f"kernel={kernel_mode} workers={workers} diverges from "
-                f"the v1 naive reference"
-            )
+        )
+        assert got == reference, (
+            f"{dbname}/{qname}: engine={engine_name} kernels={kernels} "
+            f"workers={workers} diverges from the naive reference"
+        )
 
 
-# -- session cache keying ----------------------------------------------
+# -- kernel choice -----------------------------------------------------
 
 
 def _equals_machine():
@@ -181,53 +193,28 @@ def _manifold_machine():
     return compile_string_formula(sh.manifold(Var("x"), Var("y")), AB).fsa
 
 
-class TestSessionKernelCacheKeys:
-    def test_v1_and_v2_do_not_collide(self):
-        session = QueryEngine()
-        fsa = _equals_machine()
-        v2 = session.kernel(fsa)
-        v1 = session.kernel(fsa, "v1")
-        assert isinstance(v2, DeterministicKernel)
-        assert isinstance(v1, CompiledKernel)
-        # Stable keys: repeat lookups hit the same per-tier entries.
-        assert session.kernel(fsa) is v2
-        assert session.kernel(fsa, "v1") is v1
-        assert session.kernel(fsa, "v2") is v2
-
-    def test_structural_sharing_within_a_tier(self):
-        session = QueryEngine()
-        first, second = _equals_machine(), _equals_machine()
-        assert first == second
-        assert session.kernel(first) is session.kernel(second)
-        assert session.kernel(first, "v1") is session.kernel(second, "v1")
-
-    def test_out_of_fragment_shares_the_v1_entry(self):
-        # v2/auto requests for an out-of-fragment machine resolve to
-        # the v1 tier, so they share the forced-v1 cache entry
-        # instead of duplicating the kernel under a phantom v2 key.
-        session = QueryEngine()
-        fsa = _manifold_machine()
-        auto = session.kernel(fsa)
-        assert isinstance(auto, CompiledKernel)
-        assert session.kernel(fsa, "v1") is auto
-
-    def test_pinned_v1_session_never_builds_v2(self):
-        session = QueryEngine(kernel_mode="v1")
-        kernel = session.kernel(_equals_machine())
-        assert isinstance(kernel, CompiledKernel)
-
-    def test_invalid_session_mode_rejected(self):
-        with pytest.raises(ValueError):
-            QueryEngine(kernel_mode="fast")
+def test_session_kernel_is_picked_by_the_machine():
+    session = QueryEngine()
+    assert isinstance(session.kernel(_equals_machine()), DeterministicKernel)
+    assert isinstance(session.kernel(_manifold_machine()), CompiledKernel)
 
 
-# -- worker round trip (the satellite-3 pickle regression) --------------
+def test_forced_v1_fixture_declines_in_process(request):
+    fsa = _equals_machine()
+    assert isinstance(kernel_for(fsa), DeterministicKernel)
+    request.getfixturevalue("forced_v1")
+    # A machine already carrying a determinized kernel is answered by
+    # the worklist kernel too.
+    assert isinstance(kernel_for(fsa), CompiledKernel)
+    assert isinstance(QueryEngine().kernel(fsa), CompiledKernel)
 
 
-@pytest.mark.parametrize("kernel_mode", KERNEL_MODES)
-def test_v2_tables_survive_the_worker_path(kernel_mode):
+# -- worker round trip --------------------------------------------------
+
+
+def test_scan_tables_survive_the_worker_path():
     """`SimulateShardTask` ships machines, not tables: verdicts from a
-    2-worker pool must match the reference for every kernel mode."""
+    2-worker pool must match the reference."""
     fsa = _equals_machine()
     rows = [
         (u, v) for u in AB.strings(2) for v in AB.strings(2)
@@ -236,7 +223,4 @@ def test_v2_tables_survive_the_worker_path(kernel_mode):
         row for row in rows if reference_accepts(fsa, row)
     )
     executor = ParallelExecutor(workers=2, min_parallel_items=1)
-    got = filter_accepted(
-        fsa, rows, executor=executor, kernel_mode=kernel_mode
-    )
-    assert got == expected
+    assert filter_accepted(fsa, rows, executor=executor) == expected

@@ -1,11 +1,13 @@
 """The compressed ≡ decompressed differential gate (ISSUE tentpole).
 
 Byte-identical answer sets whether relations live in plain frozensets
-or as SLP-compressed cells — across every engine × every kernel mode
-on hypothesis-driven databases from all workload generators, and
-across worker counts {1, 2, 4} on a fixed database (worker processes
-re-intern grammars from pickles, so cross-process structural identity
-is part of the contract).
+or as SLP-compressed cells — across every engine on hypothesis-driven
+databases from all workload generators, and across worker counts
+{1, 2, 4} on a fixed database (worker processes re-intern grammars from
+pickles, so cross-process structural identity is part of the
+contract).  A forced-v1 column (the ``forced_v1`` fixture makes the
+determinizer decline in-process, so it runs at one worker) repeats the
+fixed-database check with every machine on the worklist kernel.
 """
 
 import pytest
@@ -17,7 +19,6 @@ from repro.core.database import Database
 from repro.core.query import Query
 from repro.core.syntax import And, Not, exists, f_or, lift, rel
 from repro.engine import ParallelEngine, QueryEngine
-from repro.fsa.kernel import KERNEL_MODES
 from repro.workloads.generators import (
     copy_language_strings,
     example_database,
@@ -30,6 +31,10 @@ from repro.workloads.generators import (
 DNA = Alphabet("acgt")
 ENGINES = ("naive", "planner", "algebra", "auto")
 WORKER_COUNTS = (1, 2, 4)
+
+#: Matrix columns ``(kernels, workers)``: ``auto`` lets each machine
+#: pick its kernel, ``v1`` forces the worklist kernel in-process.
+COLUMNS = [("auto", workers) for workers in WORKER_COUNTS] + [("v1", 1)]
 
 #: Every generator in workloads/generators.py, as a seeded factory —
 #: string lengths stay ≤ 2 so the cap-2 truncation domain covers the
@@ -105,20 +110,17 @@ def _queries(alphabet):
 
 def _assert_compression_invisible(plain, cap):
     compressed = plain.with_storage("slp")
+    session = QueryEngine()
     for name, query in _queries(plain.alphabet):
-        for kernel_mode in KERNEL_MODES:
-            session = QueryEngine(kernel_mode=kernel_mode)
-            for engine in ENGINES:
-                want = session.evaluate(
-                    query, plain, length=cap, engine=engine
-                )
-                got = session.evaluate(
-                    query, compressed, length=cap, engine=engine
-                )
-                assert got == want, (
-                    f"{name}: engine={engine} kernel={kernel_mode} "
-                    f"diverged between memory and slp storage"
-                )
+        for engine in ENGINES:
+            want = session.evaluate(query, plain, length=cap, engine=engine)
+            got = session.evaluate(
+                query, compressed, length=cap, engine=engine
+            )
+            assert got == want, (
+                f"{name}: engine={engine} diverged between memory and "
+                f"slp storage"
+            )
 
 
 @settings(max_examples=4, deadline=None)
@@ -155,18 +157,21 @@ def test_compression_invisible_on_repetitive_relations(singles, pairs):
     _assert_compression_invisible(db, cap=2)
 
 
-@pytest.mark.parametrize("workers", WORKER_COUNTS)
-@pytest.mark.parametrize("kernel_mode", KERNEL_MODES)
-def test_workers_agree_over_compressed_storage(workers, kernel_mode):
+@pytest.mark.parametrize(
+    "kernels,workers", COLUMNS, ids=[f"{k}-{w}" for k, w in COLUMNS]
+)
+def test_workers_agree_over_compressed_storage(kernels, workers, request):
     """Shard workers re-intern pickled grammars and still agree."""
+    if kernels == "v1":
+        request.getfixturevalue("forced_v1")
     db = GENERATORS["example"](7)
     compressed = db.with_storage("slp")
-    session = QueryEngine(kernel_mode=kernel_mode)
+    session = QueryEngine()
     engine = ParallelEngine(workers=workers, shards=2, min_parallel_items=1)
     for name, query in _queries(db.alphabet):
         want = session.evaluate(query, db, length=2, engine="naive")
         got = session.evaluate(query, compressed, length=2, engine=engine)
         assert got == want, (
-            f"{name}: parallel(workers={workers}, kernel={kernel_mode}) "
+            f"{name}: parallel(workers={workers}, kernels={kernels}) "
             f"diverged over slp storage"
         )

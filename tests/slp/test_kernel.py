@@ -1,7 +1,9 @@
-"""Unit, counter and equivalence tests for the v3 grammar kernel.
+"""Unit, counter and equivalence tests for the grammar fold.
 
-The v3 contract mirrors v2's: exact verdict agreement with the
-reference search (hypothesis-driven below and in
+The scan kernel (:class:`~repro.fsa.determinize.DeterministicKernel`)
+accepts SLP-compressed cells next to plain strings.  The contract
+mirrors the plain scan's: exact verdict agreement with the reference
+search on the expanded rows (hypothesis-driven below and in
 ``tests/slp/test_differential.py``), plus the grammar path's own
 promise — acceptance work scales with *rules*, never expanded length.
 """
@@ -12,13 +14,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.alphabet import AB, DNA, LEFT_END, RIGHT_END
-from repro.engine import QueryEngine
 from repro.errors import AlphabetError, ArityError
-from repro.fsa.kernel import KERNEL_MODES, kernel_for
+from repro.fsa.determinize import MAX_SUMMARIES, DeterministicKernel
+from repro.fsa.kernel import CompiledKernel, kernel_for
 from repro.fsa.machine import make_fsa
+from repro.fsa.simulate import reference_accepts
 from repro.observability import Tracer, activate
-from repro.slp import SLP, SLPKernel, compress, literal, repeat, slp_kernel_for
-from repro.slp.kernel import MAX_SUMMARIES
+from repro.slp import SLP, compress, literal, repeat
 
 
 def contains_ab():
@@ -42,7 +44,7 @@ def contains_ab():
 
 
 def two_way_machine():
-    """An out-of-fragment machine (moves left) — v3 must decline it."""
+    """An out-of-fragment machine (moves left): the v1 kernel answers."""
     return make_fsa(
         1,
         AB,
@@ -60,29 +62,29 @@ def two_way_machine():
 
 class TestGrammarPath:
     def test_grammar_verdicts_match_string_verdicts(self):
-        kernel = slp_kernel_for(contains_ab())
+        kernel = kernel_for(contains_ab())
         for text in ("", "a", "b", "ab", "ba", "bbab", "abab", "bbbb"):
             assert kernel.accepts((compress(text),)) == kernel.accepts(
                 (text,)
             ), text
 
     def test_astronomical_input_answers_without_expanding(self):
-        kernel = slp_kernel_for(contains_ab())
+        kernel = kernel_for(contains_ab())
         # 2·10¹² characters — impossible to materialize, ~60 rules.
         assert kernel.accepts((repeat(compress("ba"), 10**12),))
         assert not kernel.accepts((repeat(literal("b"), 10**12),))
 
     def test_empty_grammar_is_the_empty_string(self):
-        kernel = slp_kernel_for(contains_ab())
+        kernel = kernel_for(contains_ab())
         assert kernel.accepts((compress(""),)) == kernel.accepts(("",))
 
     def test_batch_mixes_strings_and_grammars(self):
-        kernel = slp_kernel_for(contains_ab())
+        kernel = kernel_for(contains_ab())
         rows = [("ab",), (compress("ba"),), ("bb",), (compress("aab"),)]
         assert kernel.accepts_batch(rows) == (True, False, False, True)
 
     def test_arity_and_alphabet_validation_still_fire(self):
-        kernel = slp_kernel_for(contains_ab())
+        kernel = kernel_for(contains_ab())
         with pytest.raises(ArityError):
             kernel.accepts((compress("a"), compress("b")))
         with pytest.raises(AlphabetError):
@@ -90,7 +92,7 @@ class TestGrammarPath:
 
     def test_summaries_are_shared_across_calls(self):
         tracer = Tracer()
-        kernel = slp_kernel_for(contains_ab())
+        kernel = kernel_for(contains_ab())
         kernel._summaries.clear()
         block = compress("abba")
         with activate(tracer):
@@ -104,7 +106,7 @@ class TestGrammarPath:
         assert second - first <= 2 * 500 .bit_length() + 2
 
     def test_summary_memo_is_bounded(self):
-        kernel = slp_kernel_for(contains_ab())
+        kernel = kernel_for(contains_ab())
         kernel._summaries.clear()
         # Force eviction with many distinct rules.
         kernel._summaries.update(
@@ -115,59 +117,25 @@ class TestGrammarPath:
 
 
 class TestDispatchAndCaching:
-    def test_kernel_for_v3_returns_slp_kernel(self):
-        kernel = kernel_for(contains_ab(), "v3")
-        assert isinstance(kernel, SLPKernel)
-
-    def test_v3_hits_counter(self):
-        fsa = contains_ab()
-        tracer = Tracer()
-        with activate(tracer):
-            first = kernel_for(fsa, "v3")
-            second = kernel_for(fsa, "v3")
-        assert first is second
-        assert tracer.counters["kernel.v3_hits"] == 1
+    def test_kernel_for_returns_the_scan_kernel(self):
+        kernel = kernel_for(contains_ab())
+        assert isinstance(kernel, DeterministicKernel)
+        assert kernel.accepts((compress("ab"),)) and kernel.accepts(("ab",))
 
     def test_out_of_fragment_falls_back_to_v1(self):
         fsa = two_way_machine()
         tracer = Tracer()
         with activate(tracer):
-            kernel = kernel_for(fsa, "v3")
-        assert not isinstance(kernel, SLPKernel)
+            kernel = kernel_for(fsa)
+        assert isinstance(kernel, CompiledKernel)
         assert tracer.counters["kernel.fallback"] == 1
         assert kernel.accepts(("aab",))
 
-    def test_auto_still_resolves_to_v2(self):
-        # v3 is explicit opt-in; the auto tier stays the v2 scan.
-        kernel = kernel_for(contains_ab(), "auto")
-        assert not isinstance(kernel, SLPKernel)
-
-    def test_session_kernel_tiers_are_distinct(self):
-        fsa = contains_ab()
-        session = QueryEngine(kernel_mode="v3")
-        v3 = session.kernel(fsa)
-        v2 = session.kernel(fsa, mode="v2")
-        v1 = session.kernel(fsa, mode="v1")
-        assert isinstance(v3, SLPKernel)
-        assert not isinstance(v2, SLPKernel)
-        assert len({id(v1), id(v2), id(v3)}) == 3
-
-    def test_unknown_session_mode_rejected(self):
-        with pytest.raises(ValueError):
-            QueryEngine(kernel_mode="v4")
-        assert "v3" in KERNEL_MODES
-
-    def test_pickled_machine_drops_v3_stash(self):
-        fsa = contains_ab()
-        slp_kernel_for(fsa)
-        clone = pickle.loads(pickle.dumps(fsa))
-        assert "_kernel_v3" not in clone.__dict__
-        assert "_fragment" not in clone.__dict__
-
     def test_pickled_kernel_travels_as_its_machine(self):
-        kernel = slp_kernel_for(contains_ab())
+        kernel = kernel_for(contains_ab())
+        kernel.accepts((compress("abba"),))
         clone = pickle.loads(pickle.dumps(kernel))
-        assert isinstance(clone, SLPKernel)
+        assert isinstance(clone, DeterministicKernel)
         assert clone.accepts((repeat(compress("ba"), 10**9),))
 
     def test_classify_memo_counter(self):
@@ -181,29 +149,79 @@ class TestDispatchAndCaching:
         assert tracer.counters["kernel.classify.hits"] == 1
 
 
-class TestMultitape:
+def equality_machine():
+    """A right-restricted 2-tape machine accepting ``x = y``."""
+    transitions = [("s", (LEFT_END, LEFT_END), "cmp", (+1, +1))]
+    for char in AB:
+        transitions.append(("cmp", (char, char), "cmp", (+1, +1)))
+    transitions.append(("cmp", (RIGHT_END, RIGHT_END), "f", (0, 0)))
+    return make_fsa(2, AB, "s", ["f"], transitions)
+
+
+def _expanded(row):
+    return tuple(
+        cell.expand() if isinstance(cell, SLP) else cell for cell in row
+    )
+
+
+class TestCounters:
     def test_multitape_slp_cells_expand_and_agree(self):
-        transitions = [("s", (LEFT_END, LEFT_END), "cmp", (+1, +1))]
-        for char in AB:
-            transitions.append(("cmp", (char, char), "cmp", (+1, +1)))
-        transitions.append(("cmp", (RIGHT_END, RIGHT_END), "f", (0, 0)))
-        equality = make_fsa(2, AB, "s", ["f"], transitions)
-        kernel = kernel_for(equality, "v3")
-        assert isinstance(kernel, SLPKernel)
+        kernel = kernel_for(equality_machine())
+        assert isinstance(kernel, DeterministicKernel)
         tracer = Tracer()
         with activate(tracer):
             assert kernel.accepts((compress("abab"), "abab"))
             assert not kernel.accepts((compress("ab"), compress("ba")))
         assert tracer.counters["kernel.slp_expanded"] == 3
+        assert "simulate.grammar_rules" not in tracer.counters
+
+    def test_single_tape_slp_rows_fold_on_the_grammar(self):
+        kernel = kernel_for(contains_ab())
+        tracer = Tracer()
+        with activate(tracer):
+            kernel.accepts_batch([(compress("abab"),), ("ab",)])
+        assert tracer.counters["simulate.grammar_rules"] > 0
+        assert "kernel.slp_expanded" not in tracer.counters
+
+    def test_plain_batch_touches_no_rules(self):
+        kernel = kernel_for(contains_ab())
+        tracer = Tracer()
+        with activate(tracer):
+            kernel.accepts_batch([("ab",), ("ba",), ("",)])
+        assert tracer.counters.get("simulate.grammar_rules", 0) == 0
+        assert tracer.counters["simulate.runs"] == 3
+
+
+_CELL = st.tuples(st.text(alphabet="ab", max_size=8), st.booleans()).map(
+    lambda pair: compress(pair[0]) if pair[1] else pair[0]
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=st.lists(st.tuples(_CELL), max_size=12))
+def test_mixed_single_tape_batch_matches_reference(rows):
+    fsa = contains_ab()
+    expected = tuple(reference_accepts(fsa, _expanded(row)) for row in rows)
+    assert kernel_for(fsa).accepts_batch(rows) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=st.lists(st.tuples(_CELL, _CELL), max_size=12))
+def test_mixed_two_tape_batch_matches_reference(rows):
+    fsa = equality_machine()
+    # Equal pairs keep the accepting side of the language in play.
+    rows = rows + [(cell, _expanded((cell,))[0]) for cell, _ in rows]
+    expected = tuple(reference_accepts(fsa, _expanded(row)) for row in rows)
+    assert kernel_for(fsa).accepts_batch(rows) == expected
 
 
 @settings(max_examples=60, deadline=None)
 @given(text=st.text(alphabet="ab", max_size=24))
-def test_grammar_path_equals_v2_on_random_strings(text):
+def test_grammar_path_equals_reference_on_random_strings(text):
     fsa = contains_ab()
-    v2 = kernel_for(fsa, "v2")
-    v3 = kernel_for(fsa, "v3")
-    assert v3.accepts((compress(text),)) == v2.accepts((text,))
+    assert kernel_for(fsa).accepts((compress(text),)) == reference_accepts(
+        fsa, (text,)
+    )
 
 
 @settings(max_examples=30, deadline=None)
@@ -211,7 +229,7 @@ def test_grammar_path_equals_v2_on_random_strings(text):
     base=st.text(alphabet="acgt", min_size=1, max_size=4),
     reps=st.integers(min_value=1, max_value=64),
 )
-def test_grammar_path_equals_v2_on_repeats(base, reps):
+def test_grammar_path_equals_scan_on_repeats(base, reps):
     fsa = make_fsa(
         1,
         DNA,
@@ -226,9 +244,8 @@ def test_grammar_path_equals_v2_on_repeats(base, reps):
             ("win", (RIGHT_END,), "f", (0,)),
         ],
     )
-    v2 = kernel_for(fsa, "v2")
-    v3 = kernel_for(fsa, "v3")
-    assert v3.accepts((repeat(compress(base), reps),)) == v2.accepts(
+    kernel = kernel_for(fsa)
+    assert kernel.accepts((repeat(compress(base), reps),)) == kernel.accepts(
         (base * reps,)
     )
 
