@@ -8,7 +8,8 @@ Two benchmark families share this file:
   compiled integer kernel (``repro.fsa.kernel``), gated at ≥3×;
 * the kernel-v2 criterion — per-fragment *batch* workloads
   (unidirectional and right-restricted machines on large row batches,
-  plus a two-way fallback control) run through the v1 worklist kernel
+  a long-row tier of 0.5-1k-character DNA rows, plus a two-way
+  fallback control) run through the v1 worklist kernel
   (built with ``compile_kernel``) and the determinized v2 scan kernel
   (built with ``determinize``), gated at v2 ≥2× v1 on the
   unidirectional batch and recorded as the ``BENCH_kernel.json``
@@ -28,6 +29,7 @@ import pytest
 
 from repro.core import shorthands as sh
 from repro.core.alphabet import AB, DNA, LEFT_END, RIGHT_END
+from repro.core.syntax import IsChar, SStar, WTrue, atom, concat, left
 from repro.fsa.compile import compile_string_formula
 from repro.fsa.determinize import classify_fragment, determinize
 from repro.fsa.kernel import compile_kernel, kernel_for
@@ -141,12 +143,36 @@ def _contains_ab_machine():
     )
 
 
+def _motif_machine(motif):
+    """The one-tape machine of "``motif`` occurs in ``y``"."""
+    occurs = concat(
+        SStar(atom(left("y"), WTrue())),
+        *[atom(left("y"), IsChar("y", char)) for char in motif],
+    )
+    return compile_string_formula(occurs, DNA).fsa
+
+
+def _long_rows():
+    """The 64 SLP rows of the end-to-end motif scan, expanded.
+
+    ``acgtacgt`` filler of 0.5-1k characters, each row a different
+    length, every other row carrying ``gattaca`` in its middle.
+    """
+    rows = []
+    for index in range(64):
+        filler = "acgtacgt" * (32 + index * 32 // 63)
+        motif = "gattaca" if index % 2 == 0 else ""
+        rows.append((filler + motif + filler,))
+    return rows
+
+
 def _batch_workloads():
     """``(name, fragment, machine, rows)`` per-fragment batch workloads.
 
     One workload per fragment tier — unidirectional (arity 1),
-    right-restricted (lockstep arity 2) — plus a two-way machine as
-    the fallback control: there v2 must transparently equal v1.
+    right-restricted (lockstep arity 2) — a long-row tier whose scans
+    accept halfway or read to the end, and a two-way machine as the
+    fallback control: there v2 must transparently equal v1.
     """
     unidirectional = _contains_ab_machine()
     yield "unidirectional-batch", "unidirectional", unidirectional, [
@@ -159,6 +185,8 @@ def _batch_workloads():
         (word, word if index % 2 else word[::-1])
         for index, word in enumerate(words)
     ]
+    motif = _motif_machine("gattaca")
+    yield "long-rows", "unidirectional", motif, _long_rows()
     manifold = compile_string_formula(sh.manifold("x", "y"), AB).fsa
     yield "two-way-fallback", None, manifold, [
         (base * 8, base)

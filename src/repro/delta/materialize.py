@@ -70,7 +70,8 @@ class MaterializedAnswer:
             mentions (the cap derives from the formula, so a relation
             simplified out of the plan still pins the cap).
         max_lengths: Per-relation maximum string length at
-            materialization time, for the cap-stability check.
+            materialization time, for the cap-stability check (a
+            maintained entry's maxima never move).
         branch_rows: One frozen answer set per plan branch, in
             ``plan.branches()`` order, already projected and padded to
             the full head.
@@ -318,5 +319,6 @@ class MaterializedStore:
         entry.versions = tuple(
             (name, new_db.relation_version(name)) for name in entry.relations
         )
-        for name in affected:
-            entry.max_lengths[name] = new_db.max_string_length(name)
+        # ``max_lengths`` needs no re-pin: a certified entry got here
+        # only if the delta kept every affected maximum (_cap_stable),
+        # and explicit-cap entries never read it.

@@ -32,8 +32,8 @@ stay-closure contains a final state with **no** enabled transition
 jumps to a sticky ``ACCEPT`` state, and an empty successor subset is
 the sticky ``DEAD`` state.  The result is a
 :class:`DeterministicKernel`: one flat ``array('l')`` transition table
-(premultiplied targets, so a scan step is one add and one index) whose
-batch entry point runs whole candidate batches column-wise.
+(premultiplied targets, so a scan step is one add and one index); each
+row's scan stops at the first sticky state it reaches.
 
 :func:`lockstep_intersection` multiplies two determinized tables into
 one machine accepting ``L(A) ∩ L(B)`` — the in-fragment replacement
@@ -62,15 +62,15 @@ Tracer counters: ``kernel.determinize`` (one per subset construction),
 verdicts served), ``kernel.slp_summaries`` (per-rule summaries built),
 ``kernel.slp_expanded`` (multitape SLP cells expanded for the scan),
 ``simulate.runs``, ``simulate.scan_symbols`` (columns consumed by
-scans) and ``simulate.grammar_rules`` (rules touched by grammar-path
-runs).
+scans before they settle) and ``simulate.grammar_rules`` (rules
+touched by grammar-path runs).
 """
 
 from __future__ import annotations
 
 from array import array
-from collections.abc import Sequence
-from itertools import chain
+from collections.abc import Iterable, Sequence
+from operator import length_hint
 
 from repro.core.alphabet import LEFT_END, RIGHT_END
 from repro.errors import AlphabetError, ArityError
@@ -182,7 +182,7 @@ class DeterministicKernel:
     Cells may be plain strings or :class:`~repro.slp.grammar.SLP`
     values, mixed freely:
 
-    * plain strings are scanned (batches column-wise);
+    * plain strings are scanned until the first sticky state;
     * a single-tape SLP input is folded over its grammar —
       ``O(rules · states)``, the expansion never materialized;
     * SLP cells of multitape rows are expanded (within the grammar's
@@ -219,7 +219,8 @@ class DeterministicKernel:
         "dfa_states",
         "_ncols",
         "_symbol_count",
-        "_char_ids",
+        "_codes",
+        "_ends",
         "_table",
         "_summaries",
     )
@@ -231,7 +232,7 @@ class DeterministicKernel:
         table: array,
         ncols: int,
         symbol_count: int,
-        char_ids: dict[str, int],
+        codes: _CodeTable,
         dfa_states: int,
     ) -> None:
         self.fsa = fsa
@@ -240,7 +241,8 @@ class DeterministicKernel:
         self.dfa_states = dfa_states
         self._ncols = ncols
         self._symbol_count = symbol_count
-        self._char_ids = char_ids
+        self._codes = codes
+        self._ends = (chr(symbol_count - 2), chr(symbol_count - 1))
         self._table = table
         self._summaries: dict[_Node, array] = {}
 
@@ -257,53 +259,47 @@ class DeterministicKernel:
 
     # -- input interning -------------------------------------------------
 
-    def _columns(self, inputs: Sequence[str]) -> list[int]:
-        """The packed column word of an endmarked input tuple.
+    def _tape(self, content: str | SLP) -> Sequence[int]:
+        """The symbol ids of one endmarked tape, interned at C level.
 
-        Column ``n`` packs the symbols under the (synchronized) heads
-        at position ``n``; the scan length is ``min |wᵢ| + 2`` — the
-        lockstep heads can never pass the shortest tape's ``⊣``.
-        Raises :class:`~repro.errors.AlphabetError` for characters
-        outside Σ, exactly like the v1 interning pass.
+        One ``str.translate`` pass interns and validates the whole tape
+        (:class:`_CodeTable`), so a character outside Σ raises
+        :class:`~repro.errors.AlphabetError` before the scan starts —
+        even one past the point where the scan settles.  An SLP cell
+        (of a multitape row) is expanded first, counted by
+        ``kernel.slp_expanded``.
         """
-        char_ids = self._char_ids
-        symbol_count = self._symbol_count
-        left = symbol_count - 2
-        right = symbol_count - 1
-        rows = []
-        for content in inputs:
-            try:
-                row = [left]
-                row.extend(char_ids[char] for char in content)
-                row.append(right)
-            except KeyError:
-                for char in content:
-                    if char not in char_ids:
-                        raise AlphabetError(
-                            f"character {char!r} of {content!r} is not in "
-                            f"alphabet {self.fsa.alphabet}"
-                        ) from None
-                raise  # pragma: no cover - unreachable
-            rows.append(row)
-        if self.arity == 1:
-            return rows[0]
-        length = min(len(row) for row in rows)
-        columns = []
-        for position in range(length):
-            packed = 0
-            for row in rows:
-                packed = packed * symbol_count + row[position]
-            columns.append(packed)
-        return columns
+        if type(content) is SLP:
+            current_tracer().add("kernel.slp_expanded")
+            content = content.expand()
+        left, right = self._ends
+        try:
+            word = left + content.translate(self._codes) + right
+        except AlphabetError as error:
+            raise AlphabetError(
+                f"character {error.args[0]!r} of {content!r} is not in "
+                f"alphabet {self.fsa.alphabet}"
+            ) from None
+        if self._symbol_count <= 256:
+            return word.encode("latin-1")
+        return list(map(ord, word))
 
-    def _expanded(self, row: tuple) -> tuple[str, ...]:
-        """``row`` with its SLP cells expanded for the scan."""
-        current_tracer().add(
-            "kernel.slp_expanded", sum(type(cell) is SLP for cell in row)
-        )
-        return tuple(
-            cell.expand() if type(cell) is SLP else cell for cell in row
-        )
+    def _columns(self, row: tuple) -> Sequence[int]:
+        """The packed column word of a multitape row.
+
+        Column ``n`` packs the symbols at position ``n`` of every tape;
+        ``zip`` stops at ``min |wᵢ| + 2`` columns — the lockstep heads
+        can never pass the shortest tape's ``⊣``.
+        """
+        symbol_count = self._symbol_count
+        tapes = map(self._tape, row)
+        columns = next(tapes)
+        for tape in tapes:
+            columns = [
+                packed * symbol_count + symbol
+                for packed, symbol in zip(columns, tape)
+            ]
+        return columns
 
     # -- the grammar fold ------------------------------------------------
 
@@ -329,13 +325,13 @@ class DeterministicKernel:
         table = self._table
         ncols = self._ncols
         states = range(self.dfa_states)
-        char_ids = self._char_ids
+        codes = self._codes
         built = 0
         for node in _postorder(root):
             if node in summaries:
                 continue
             if node.char is not None:
-                column = char_ids.get(node.char)
+                column = codes.get(ord(node.char))
                 if column is None:
                     raise AlphabetError(
                         f"character {node.char!r} of a compressed input "
@@ -355,8 +351,11 @@ class DeterministicKernel:
             current_tracer().add("kernel.slp_summaries", built)
         return summaries[root]
 
-    def _accepts_grammar(self, slp: SLP) -> bool:
-        """Grammar-path acceptance of one single-tape SLP input."""
+    def _fold(self, slp: SLP) -> tuple[int, int]:
+        """Grammar-path run of one single-tape SLP input.
+
+        Returns the final (premultiplied) state and the rules touched.
+        """
         table = self._table
         ncols = self._ncols
         state = table[START * ncols + self._symbol_count - 2] // ncols
@@ -364,22 +363,17 @@ class DeterministicKernel:
         if slp.root is not None:
             state = self._summary(slp.root)[state]
             rules = slp.stored_size()
-        state = table[state * ncols + self._symbol_count - 1] // ncols
-        tracer = current_tracer()
-        tracer.add("simulate.runs")
-        tracer.add("simulate.grammar_rules", rules)
-        return state == ACCEPT
+        return table[state * ncols + self._symbol_count - 1], rules
 
     # -- acceptance entry points -----------------------------------------
 
     def accepts(self, inputs: Sequence[str | SLP]) -> bool:
-        """One linear scan: does the machine accept ``inputs``?
+        """Does the machine accept ``inputs``?  A one-row batch.
 
-        Exactly equivalent to
-        :func:`~repro.fsa.simulate.reference_accepts` on the expanded
-        row (and hence to the v1 kernel), including arity and alphabet
-        validation.  The scan exits early once it hits a sticky sink;
-        a single-tape SLP input takes the grammar fold instead.
+        Runs :meth:`accepts_batch` on the single row: exactly
+        equivalent to :func:`~repro.fsa.simulate.reference_accepts` on
+        the expanded row (and hence to the v1 kernel), including arity
+        and alphabet validation.
 
         Args:
             inputs: One string or :class:`~repro.slp.grammar.SLP` per
@@ -388,40 +382,19 @@ class DeterministicKernel:
         Returns:
             The acceptance verdict.
         """
-        inputs = tuple(inputs)
-        if len(inputs) != self.arity:
-            raise ArityError(
-                f"{self.arity}-FSA fed {len(inputs)} input strings"
-            )
-        if SLP in map(type, inputs):
-            if self.arity == 1:
-                return self._accepts_grammar(inputs[0])
-            inputs = self._expanded(inputs)
-        columns = self._columns(inputs)
-        table = self._table
-        ncols = self._ncols
-        settled = 2 * ncols
-        state = START * ncols
-        scanned = 0
-        for column in columns:
-            state = table[state + column]
-            scanned += 1
-            if state < settled:
-                break
-        tracer = current_tracer()
-        tracer.add("simulate.runs")
-        tracer.add("simulate.scan_symbols", scanned)
-        return state == ncols
+        return self.accepts_batch((inputs,))[0]
 
     def accepts_batch(
-        self, rows: Sequence[Sequence[str | SLP]]
+        self, rows: Iterable[Sequence[str | SLP]]
     ) -> tuple[bool, ...]:
-        """:meth:`accepts` over a batch of rows, column-wise.
+        """Acceptance of each row, one early-exit scan per row.
 
-        A batch of plain strings is swept through the table column by
-        column (:meth:`_sweep`).  Only a batch holding SLP cells pays
-        a per-row partition: single-tape grammar rows are folded, the
-        rest (with multitape cells expanded) swept as one sub-batch.
+        A single-tape SLP row is folded on its grammar.  Every other
+        row is interned once (:meth:`_tape`) and scanned through the
+        table until it reaches a sticky sink — from there no symbol can
+        change the verdict, so the rest of the row is never read.
+        ``simulate.scan_symbols`` counts the columns consumed, the
+        settling one included.
 
         Args:
             rows: The input tuples, each one string or
@@ -430,73 +403,54 @@ class DeterministicKernel:
         Returns:
             Per-row verdicts, positionally aligned with ``rows``.
         """
-        if SLP not in set(map(type, chain.from_iterable(rows))):
-            return self._sweep(rows)
         arity = self.arity
-        verdicts: list[bool | None] = [None] * len(rows)
-        scan_rows: list[tuple] = []
-        scan_slots: list[int] = []
-        for slot, row in enumerate(rows):
-            row = tuple(row)
-            if len(row) != arity:
-                raise ArityError(
-                    f"{arity}-FSA fed {len(row)} input strings"
-                )
-            if arity == 1 and type(row[0]) is SLP:
-                verdicts[slot] = self._accepts_grammar(row[0])
-                continue
-            if SLP in map(type, row):
-                row = self._expanded(row)
-            scan_rows.append(row)
-            scan_slots.append(slot)
-        if scan_rows:
-            for slot, verdict in zip(scan_slots, self._sweep(scan_rows)):
-                verdicts[slot] = verdict
-        return tuple(verdicts)
-
-    def _sweep(self, rows: Sequence[Sequence[str]]) -> tuple[bool, ...]:
-        """The column-wise scan of a batch of plain-string rows.
-
-        Rows are validated and interned in one pass, grouped by scan
-        length, and each group is driven through the transition table
-        **column by column**: one list pass per input position updates
-        every row's DFA state with a single add-and-index into the
-        flat ``array('l')`` table.  Rows that hit a sticky sink simply
-        spin there for the remaining columns (one table read each), so
-        the sweep needs no per-row control flow.
-        """
-        arity = self.arity
-        prepared = []
+        table = self._table
+        ncols = self._ncols
+        start = START * ncols
+        settled = 2 * ncols  # the premultiplied DEAD and ACCEPT rows
+        tape = self._tape
+        verdicts = []
+        scanned = rules = 0
         for row in rows:
             row = tuple(row)
             if len(row) != arity:
-                raise ArityError(
-                    f"{arity}-FSA fed {len(row)} input strings"
-                )
-            prepared.append(self._columns(row))
-        groups: dict[int, list[int]] = {}
-        for index, columns in enumerate(prepared):
-            groups.setdefault(len(columns), []).append(index)
-        table = self._table
-        ncols = self._ncols
-        accept_code = ACCEPT * ncols
-        start_code = START * ncols
-        verdicts = [False] * len(prepared)
-        scanned = 0
-        for length, members in groups.items():
-            states = [start_code] * len(members)
-            for column in zip(*(prepared[index] for index in members)):
-                states = [
-                    table[state + symbol]
-                    for state, symbol in zip(states, column)
-                ]
-            scanned += length * len(members)
-            for index, state in zip(members, states):
-                verdicts[index] = state == accept_code
+                raise ArityError(f"{arity}-FSA fed {len(row)} input strings")
+            if arity == 1 and type(row[0]) is SLP:
+                state, touched = self._fold(row[0])
+                rules += touched
+            else:
+                columns = tape(row[0]) if arity == 1 else self._columns(row)
+                state = start
+                pending = iter(columns)
+                for column in pending:
+                    state = table[state + column]
+                    if state < settled:
+                        break
+                # Bytes and list iterators report what they have left,
+                # so the consumed count costs no per-symbol counter.
+                scanned += len(columns) - length_hint(pending)
+            verdicts.append(state == ncols)
         tracer = current_tracer()
-        tracer.add("simulate.runs", len(prepared))
+        tracer.add("simulate.runs", len(verdicts))
         tracer.add("simulate.scan_symbols", scanned)
+        if rules:
+            tracer.add("simulate.grammar_rules", rules)
         return tuple(verdicts)
+
+
+class _CodeTable(dict):
+    """A ``str.translate`` table from Σ characters to their symbol ids.
+
+    A plain dict would pass any other character through unchanged; this
+    one raises :class:`~repro.errors.AlphabetError` from inside the
+    translation instead, and adds nothing to itself, so it never grows
+    with the characters it has seen.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, code_point: int):
+        raise AlphabetError(chr(code_point))
 
 
 def _rebuild(fsa: FSA) -> DeterministicKernel:
@@ -615,14 +569,14 @@ def determinize(
                     table.extend([-1] * ncols)
                     frontier.append(successor)
                 table[base + column] = target_id * ncols
-        char_ids = {
-            symbol: sym_ids[symbol] for symbol in fsa.alphabet.symbols
-        }
+        codes = _CodeTable(
+            (ord(symbol), sym_ids[symbol]) for symbol in fsa.alphabet.symbols
+        )
         dfa_states = len(subset_ids) + 1
     tracer.add("kernel.determinize")
     tracer.add("kernel.dfa_states", dfa_states)
     return DeterministicKernel(
-        fsa, fragment, table, ncols, symbol_count, char_ids, dfa_states
+        fsa, fragment, table, ncols, symbol_count, codes, dfa_states
     )
 
 

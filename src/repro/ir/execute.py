@@ -87,10 +87,12 @@ def execute_branch(
                 bindings = _generate(
                     bindings, step, alphabet, cap, session, executor
                 )
+                # Join and filter steps need no such pass: each binding
+                # they output determines its input binding and row.
+                unique = {tuple(sorted(b.items())): b for b in bindings}
+                bindings = list(unique.values())
         if not bindings:
             return frozenset()
-        unique = {tuple(sorted(b.items())): b for b in bindings}
-        bindings = list(unique.values())
     projected = {
         tuple(binding[var] for var in branch.bound_head)
         for binding in bindings

@@ -154,7 +154,7 @@ def filter_accepted(
 
         # One compiled kernel, one validation pass, shared scratch
         # buffers for the whole row batch (repro.fsa.kernel) — and
-        # one column-wise table sweep under the scan kernel.
+        # one early-exit table scan per row under the scan kernel.
         verdicts = accepts_batch(fsa, rows)
         return frozenset(
             row for row, verdict in zip(rows, verdicts) if verdict

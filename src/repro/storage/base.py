@@ -249,7 +249,9 @@ class InMemoryStorage:
     ) -> "InMemoryStorage":
         """Derive a new storage with ``deletes`` removed, ``inserts`` added.
 
-        Runs in O(|Δ|) set operations; the receiver is untouched.
+        Costs O(|R| + |Δ|): the set difference and union copy the whole
+        relation, and the new storage re-validates every row's arity.
+        The receiver is untouched.
 
         Args:
             inserts: Rows to add (applied after the deletes).

@@ -1,4 +1,10 @@
-"""Tests for QueryEngine sessions: cache keying, stats, batching."""
+"""Tests for QueryEngine sessions: cache keying, stats, batching.
+
+Tests that evaluate run at explicit worker counts, so their cache
+counts cannot depend on the host's CPU count.  The one exception is
+the algebra kernel-cache test, whose default route runs in-process on
+every host.
+"""
 
 import pytest
 
@@ -9,6 +15,9 @@ from repro.core.query import Query
 from repro.core.syntax import And, exists, lift, rel
 from repro.engine import QueryEngine
 from repro.errors import SafetyError
+
+#: The worker counts every evaluating test runs at.
+WORKERS = (1, 2)
 
 
 def db() -> Database:
@@ -85,17 +94,24 @@ class TestCacheKeying:
         assert stats.hits == 0 and stats.misses == 2
 
     def test_algebra_route_populates_kernel_cache(self):
-        session = QueryEngine()
         query = Query(
             ("x", "y"),
             And(rel("R1", "x", "y"), lift(sh.prefix_of("x", "y"))),
             AB,
         )
+        # Without a worker count the algebra engine selects in-process
+        # on every host.  Explicit workers move the selections into
+        # shard tasks, whose kernel lookups the session cannot see.
+        session = QueryEngine()
         first = session.evaluate(query, db(), length=4, engine="algebra")
         second = session.evaluate(query, db(), length=4, engine="algebra")
         assert first == second
         stats = session.stats.caches["kernel"]
         assert stats.lookups > 0
+        for workers in WORKERS:
+            assert first == QueryEngine().evaluate(
+                query, db(), length=4, engine="algebra", workers=workers
+            )
 
     def test_limit_reports_cached_including_negative(self):
         session = QueryEngine()
@@ -118,8 +134,9 @@ class TestCacheKeying:
             exists("x", And(rel("R2", "x"), lift(sh.manifold("y", "x")))),
             AB,
         )
-        with pytest.raises(SafetyError):
-            session.evaluate(unsafe, db())
+        for workers in WORKERS:
+            with pytest.raises(SafetyError):
+                session.evaluate(unsafe, db(), workers=workers)
 
 
 class TestWarmEvaluation:
@@ -127,7 +144,7 @@ class TestWarmEvaluation:
         # workers=2 sends the generator branch through the shard
         # executor; the cache counts must not depend on that.
         counts = {}
-        for workers in (1, 2):
+        for workers in WORKERS:
             session = QueryEngine()
             q = generation_query()
             cold = session.evaluate(q, db(), workers=workers)
@@ -149,29 +166,32 @@ class TestWarmEvaluation:
 
     def test_sessions_are_isolated(self):
         q = generation_query()
-        first = QueryEngine()
-        first.evaluate(q, db())
-        first.evaluate(q, db())
-        second = QueryEngine()
-        second.evaluate(q, db())
-        # The second session inherits nothing: it repeats the first
-        # session's cold misses instead of hitting its entries.
-        assert (
-            second.stats.caches["compile"].misses
-            == first.stats.caches["compile"].misses
-        )
-        assert (
-            second.stats.caches["compile"].hits
-            < first.stats.caches["compile"].hits
-        )
+        for workers in WORKERS:
+            first = QueryEngine()
+            first.evaluate(q, db(), workers=workers)
+            first.evaluate(q, db(), workers=workers)
+            second = QueryEngine()
+            second.evaluate(q, db(), workers=workers)
+            # The second session inherits nothing: it repeats the first
+            # session's cold misses instead of hitting its entries.
+            assert (
+                second.stats.caches["compile"].misses
+                == first.stats.caches["compile"].misses
+            )
+            assert (
+                second.stats.caches["compile"].hits
+                < first.stats.caches["compile"].hits
+            )
 
     def test_warm_algebra_hits_translation(self):
-        session = QueryEngine()
         q = generation_query()
-        a = session.evaluate(q, db(), length=6, engine="algebra")
-        b = session.evaluate(q, db(), length=6, engine="algebra")
-        assert a == b
-        assert session.stats.caches["optimize"].hits >= 1
+        for workers in WORKERS:
+            session = QueryEngine()
+            options = dict(length=6, engine="algebra", workers=workers)
+            a = session.evaluate(q, db(), **options)
+            b = session.evaluate(q, db(), **options)
+            assert a == b
+            assert session.stats.caches["optimize"].hits >= 1
 
 
 class TestDomainPool:
@@ -207,53 +227,62 @@ class TestBatchEvaluation:
             Query(("x",), rel("R2", "x"), AB),
             generation_query(),
         ]
-        batch = QueryEngine().evaluate_many(queries, db())
         individual = [q.evaluate(db()) for q in queries]
-        assert batch == individual
+        for workers in WORKERS:
+            batch = QueryEngine().evaluate_many(queries, db(), workers=workers)
+            assert batch == individual
 
     def test_batch_shares_compiled_artifacts(self):
-        session = QueryEngine()
         q = generation_query()
-        results = session.evaluate_many([q, q, q], db())
-        assert results[0] == results[1] == results[2]
-        assert session.stats.caches["compile"].misses == 1
-        assert session.stats.caches["compile"].hits > 0
+        for workers in WORKERS:
+            session = QueryEngine()
+            results = session.evaluate_many([q, q, q], db(), workers=workers)
+            assert results[0] == results[1] == results[2]
+            assert session.stats.caches["compile"].misses == 1
+            assert session.stats.caches["compile"].hits > 0
 
     def test_batch_with_explicit_length(self):
-        session = QueryEngine()
         queries = [Query(("x",), rel("R2", "x"), AB)] * 2
-        results = session.evaluate_many(
-            queries, db(), length=3, engine="naive"
-        )
-        assert results[0] == results[1] == {("ab",), ("b",), ("aab",)}
+        for workers in WORKERS:
+            results = QueryEngine().evaluate_many(
+                queries, db(), length=3, engine="naive", workers=workers
+            )
+            assert results[0] == results[1] == {("ab",), ("b",), ("aab",)}
 
     def test_batch_reserves_max_bound(self):
-        session = QueryEngine()
         narrow = Query(  # certified bound 2
             ("x", "y"),
             And(rel("R1", "x", "y"), lift(sh.equals("x", "y"))),
             AB,
         )
         wide = Query(("x",), rel("R2", "x"), AB)  # certified bound 3
-        session.evaluate_many([narrow, wide], db(), engine="naive")
-        # One enumeration at the batch maximum (3) serves both queries:
-        # the narrow query's domain is a prefix slice of it.
-        stats = session.stats.caches["domain"]
-        assert stats.misses == 1 and stats.hits == 1
+        for workers in WORKERS:
+            session = QueryEngine()
+            session.evaluate_many(
+                [narrow, wide], db(), engine="naive", workers=workers
+            )
+            # One enumeration at the batch maximum (3) serves both
+            # queries: the narrow query's domain is a prefix slice of it.
+            stats = session.stats.caches["domain"]
+            assert stats.misses == 1 and stats.hits == 1
 
 
 class TestStats:
     def test_snapshot_shape(self):
-        session = QueryEngine()
         q = Query(("x",), rel("R2", "x"), AB)
-        session.evaluate(q, db())
-        snapshot = session.stats.snapshot()
-        assert "compile" in snapshot["caches"]
-        assert snapshot["evaluations"]["auto"] == 1
-        assert snapshot["engine_seconds"]["auto"] >= 0.0
+        for workers in WORKERS:
+            session = QueryEngine()
+            session.evaluate(q, db(), workers=workers)
+            snapshot = session.stats.snapshot()
+            assert "compile" in snapshot["caches"]
+            assert snapshot["evaluations"]["auto"] == 1
+            assert snapshot["engine_seconds"]["auto"] >= 0.0
 
     def test_describe_mentions_caches_and_engines(self):
-        session = QueryEngine()
-        session.evaluate(Query(("x",), rel("R2", "x"), AB), db())
-        text = session.stats.describe()
-        assert "cache compile" in text and "engine auto" in text
+        for workers in WORKERS:
+            session = QueryEngine()
+            session.evaluate(
+                Query(("x",), rel("R2", "x"), AB), db(), workers=workers
+            )
+            text = session.stats.describe()
+            assert "cache compile" in text and "engine auto" in text

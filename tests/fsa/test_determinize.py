@@ -10,6 +10,10 @@ The v2 contract has two halves, both enforced here:
   never determinized: the detector says ``None``, ``determinize``
   declines, and ``kernel_for`` transparently answers with the v1
   worklist kernel while bumping the ``kernel.fallback`` counter.
+
+The batch entry point is one early-exit scan per row, so it is held
+to the per-row calls as well: same verdicts, same counter totals, and
+the same alphabet validation even past the point where a scan settles.
 """
 
 import pickle
@@ -37,6 +41,7 @@ from repro.fsa.kernel import CompiledKernel, kernel_for
 from repro.fsa.machine import make_fsa
 from repro.fsa.simulate import reference_accepts
 from repro.observability import Tracer, activate
+from repro.slp import SLP, compress
 
 _TAPE_SYMBOLS = AB.tape_symbols()
 _NON_RIGHT_END = tuple(s for s in _TAPE_SYMBOLS if s != RIGHT_END)
@@ -149,6 +154,168 @@ def test_out_of_fragment_falls_back_to_v1(fsa):
     rows = _exhaustive_rows(fsa.arity, 2 if fsa.arity == 1 else 1)
     for row in rows:
         assert kernel.accepts(row) == reference_accepts(fsa, row)
+
+
+# -- one early-exit scan per row ----------------------------------------
+
+#: Cell lengths for the mixed batches: empty, short, and long enough
+#: that a row settling early leaves most of itself unread.
+_CELL_LENGTHS = (0, 1, 2, 3, 5, 8, 300, 2000)
+
+_COUNTERS = (
+    "simulate.runs",
+    "simulate.scan_symbols",
+    "simulate.grammar_rules",
+    "kernel.slp_expanded",
+)
+
+
+@st.composite
+def _cells(draw):
+    """A plain or SLP cell over ``ab``, empty to 2000 characters."""
+    length = draw(st.sampled_from(_CELL_LENGTHS))
+    unit = draw(st.text(alphabet="ab", min_size=1, max_size=5))
+    text = (unit * (length // len(unit) + 1))[:length]
+    return compress(text) if draw(st.booleans()) else text
+
+
+@st.composite
+def _machines_with_batches(draw):
+    fsa = draw(_in_fragment_machines())
+    rows = draw(
+        st.lists(st.tuples(*[_cells()] * fsa.arity), max_size=6)
+    )
+    return fsa, rows
+
+
+def _expanded(row):
+    return tuple(
+        cell.expand() if isinstance(cell, SLP) else cell for cell in row
+    )
+
+
+def _first_ab():
+    """Accepts as soon as ``ab`` has been read: a sticky ACCEPT mid-row."""
+    return make_fsa(
+        1,
+        AB,
+        "s",
+        ["f"],
+        [
+            ("s", (LEFT_END,), "scan", (+1,)),
+            ("scan", ("a",), "scan", (+1,)),
+            ("scan", ("b",), "scan", (+1,)),
+            ("scan", ("a",), "saw_a", (+1,)),
+            ("saw_a", ("b",), "f", (+1,)),
+        ],
+    )
+
+
+def _contains(alphabet, symbol):
+    """A one-tape machine accepting as soon as ``symbol`` is read."""
+    transitions = [("s", (LEFT_END,), "scan", (+1,))]
+    transitions += [("scan", (char,), "scan", (+1,)) for char in alphabet]
+    transitions.append(("scan", (symbol,), "f", (+1,)))
+    return make_fsa(1, alphabet, "s", ["f"], transitions)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_machines_with_batches())
+def test_batch_equals_rows_and_reference(case):
+    fsa, rows = case
+    kernel = determinize(fsa)
+    batch_tracer, row_tracer = Tracer(), Tracer()
+    with activate(batch_tracer):
+        batch = kernel.accepts_batch(rows)
+    with activate(row_tracer):
+        single = tuple(kernel.accepts(row) for row in rows)
+    expected = tuple(reference_accepts(fsa, _expanded(row)) for row in rows)
+    assert batch == single == expected
+    for name in _COUNTERS:
+        assert batch_tracer.counters.get(name, 0) == (
+            row_tracer.counters.get(name, 0)
+        ), name
+
+
+class TestEarlyExit:
+    def test_settled_rows_stop_reading(self):
+        kernel = determinize(_first_ab())
+        tracer = Tracer()
+        with activate(tracer):
+            verdicts = kernel.accepts_batch(
+                [("ab" + "b" * 2000,), ("b" * 2000,), ("",)]
+            )
+        assert verdicts == (True, False, False)
+        # ⊢, a, b and the column after them reach ACCEPT; the other
+        # rows never settle before their ⊣.
+        assert tracer.counters["simulate.scan_symbols"] == 4 + 2002 + 2
+
+    def test_rows_settling_at_the_first_symbol(self):
+        dead_at_start = make_fsa(
+            1, AB, "s", [], [("s", ("a",), "s", (+1,))]
+        )
+        equal = determinize(_compiled(sh.equals))
+        tracer = Tracer()
+        with activate(tracer):
+            assert determinize(dead_at_start).accepts_batch(
+                [("a" * 2000,), ("",)]
+            ) == (False, False)
+            assert equal.accepts(("a" * 2000, "b" * 2000)) is False
+        # One column each for the dead start; ⊢⊢ then (a, b) for equal.
+        assert tracer.counters["simulate.scan_symbols"] == 1 + 1 + 2
+
+    def test_alphabet_error_after_the_settle_point(self):
+        kernel = determinize(_first_ab())
+        assert kernel.accepts(("abb",))
+        with pytest.raises(AlphabetError, match="'z' of 'abbz'"):
+            kernel.accepts(("abbz",))
+        with pytest.raises(AlphabetError, match="'z'"):
+            kernel.accepts_batch([("ab",), ("ab" + "b" * 50 + "z",)])
+        equal = determinize(_compiled(sh.equals))
+        with pytest.raises(AlphabetError, match="'z'"):
+            equal.accepts(("a", "bz"))  # dies at (a, b), then 'z'
+        with pytest.raises(AlphabetError, match="'z'"):
+            equal.accepts((compress("a"), compress("bz")))
+
+    def test_interning_table_never_grows(self):
+        kernel = determinize(_first_ab())
+        for char in ("z", "\x00", "\x02", LEFT_END, RIGHT_END, "é", "😀"):
+            with pytest.raises(AlphabetError):
+                kernel.accepts(("ab" + char,))
+        kernel.accepts_batch([("ab" * 100,), ("ba" * 100,)])
+        assert len(kernel._codes) == len(AB.symbols)
+
+    @pytest.mark.parametrize(
+        "symbols",
+        [
+            "\x01\x00\x03\x02",  # ords that are other symbols' codes
+            [chr(0x100 + index) for index in range(300)],  # > 256 codes
+        ],
+        ids=["control-characters", "300-symbols"],
+    )
+    def test_alphabets_of_any_size(self, symbols):
+        alphabet = Alphabet(symbols)
+        chars = alphabet.symbols
+        fsa = _contains(alphabet, chars[1])
+        kernel = determinize(fsa)
+        rows = [(chars[0] * length,) for length in (0, 1, 40)]
+        rows += [(chars[2] + chars[1],), ("".join(chars[::-1]),)]
+        rows += [(chars[-1] * 30 + chars[1] + chars[0] * 30,)]
+        expected = tuple(reference_accepts(fsa, row) for row in rows)
+        assert kernel.accepts_batch(rows) == expected
+        assert expected == (False, False, False, True, True, True)
+
+    def test_multitape_columns_beyond_a_byte(self):
+        alphabet = Alphabet("abcdefghijklmnopqrst")  # 22² packed columns
+        fsa = compile_string_formula(
+            sh.equals(Var("x"), Var("y")), alphabet
+        ).fsa
+        kernel = determinize(fsa)
+        rows = [("tsr", "tsr"), ("tsr", "tsq"), ("", ""), ("t", "")]
+        expected = tuple(reference_accepts(fsa, row) for row in rows)
+        assert kernel.accepts_batch(rows) == expected == (
+            True, False, True, False
+        )
 
 
 # -- the fragment detector as an artifact ------------------------------
