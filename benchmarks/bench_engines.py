@@ -1,8 +1,8 @@
-"""Experiment X2: engine ablation — naive vs planner vs algebra.
+"""Experiment X2: engine ablation — naive vs auto vs algebra.
 
 The same Example 2 and Example 3 queries evaluated by the three
-engines.  Shape claim: all agree; the planner dominates once queries
-generate strings, because it never materializes ``Σ^{<=l}``.
+engines.  Shape claim: all agree; ``auto``'s plan route dominates once
+queries generate strings, because it never materializes ``Σ^{<=l}``.
 """
 
 import pytest
@@ -40,12 +40,12 @@ def generation_query():
 def test_engines_agree(ab_database, selection_query, generation_query):
     for query, length in ((selection_query, LENGTH), (generation_query, 5)):
         naive = query.evaluate(ab_database, length=length, engine="naive")
-        planner = query.evaluate(ab_database, length=length, engine="planner")
+        auto = query.evaluate(ab_database, length=length, engine="auto")
         algebra = query.evaluate(ab_database, length=length, engine="algebra")
-        assert naive == planner == algebra
+        assert naive == auto == algebra
 
 
-@pytest.mark.parametrize("engine", ["naive", "planner", "algebra"])
+@pytest.mark.parametrize("engine", ["naive", "auto", "algebra"])
 def test_selection_engines(benchmark, ab_database, selection_query, engine):
     result = benchmark.pedantic(
         selection_query.evaluate,
@@ -55,11 +55,11 @@ def test_selection_engines(benchmark, ab_database, selection_query, engine):
         iterations=1,
     )
     assert result == selection_query.evaluate(
-        ab_database, length=LENGTH, engine="planner"
+        ab_database, length=LENGTH, engine="auto"
     )
 
 
-@pytest.mark.parametrize("engine", ["naive", "planner", "algebra"])
+@pytest.mark.parametrize("engine", ["naive", "auto", "algebra"])
 def test_generation_engines(benchmark, ab_database, generation_query, engine):
     # The naive engine enumerates Σ^{<=l} per quantifier; keep l small
     # enough that the losing engine still terminates (the ablation's
@@ -73,5 +73,5 @@ def test_generation_engines(benchmark, ab_database, generation_query, engine):
         iterations=1,
     )
     assert result == generation_query.evaluate(
-        ab_database, length=length, engine="planner"
+        ab_database, length=length, engine="auto"
     )

@@ -94,8 +94,8 @@ def _delta(step, rng):
 
 
 def _scratch(db):
-    """One cold-session planner evaluation (no shared caches)."""
-    return QueryEngine().evaluate(_QUERY, db, length=CAP, engine="planner")
+    """One cold-session evaluation (no shared caches)."""
+    return QueryEngine().evaluate(_QUERY, db, length=CAP, engine="auto")
 
 
 def _loop():

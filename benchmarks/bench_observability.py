@@ -33,7 +33,7 @@ from repro.core import shorthands as sh
 from repro.core.alphabet import DNA
 from repro.core.query import Query
 from repro.core.syntax import And, lift, rel
-from repro.engine import ParallelEngine, QueryEngine
+from repro.engine import QueryEngine
 from repro.observability import Tracer, current_tracer
 
 #: Acceptance criterion: disabled instrumentation adds at most this
@@ -55,9 +55,8 @@ def _query() -> Query:
 
 def _run_workload(db, tracer=None):
     session = QueryEngine(tracer=tracer)
-    engine = ParallelEngine(workers=1, min_parallel_items=1)
     domain = session.domain_for(DNA, BOUND)
-    answers = session.evaluate(_query(), db, domain=domain, engine=engine)
+    answers = session.evaluate(_query(), db, domain=domain, workers=1)
     return session, answers
 
 

@@ -85,7 +85,7 @@ def _run_naive(db):
 def _run_optimized(db):
     """The plan route: normalized union of cost-ordered join branches."""
     session = QueryEngine()
-    return session.evaluate(_query(), db, length=BOUND, engine="planner")
+    return session.evaluate(_query(), db, length=BOUND, engine="auto")
 
 
 def _best_of(runs, fn):

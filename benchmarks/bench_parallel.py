@@ -5,8 +5,8 @@ filtering: a two-variable selection over an explicit ``Σ^{<=l}``
 domain of the DNA alphabet, giving ``|domain|²`` candidates sharded by
 mixed-radix index ranges across the process pool.  The file provides
 
-* pytest-benchmark rows for the single- and multi-worker engines on a
-  moderate candidate space (also the CI smoke path), and
+* pytest-benchmark rows for ``auto`` at one and at several workers on
+  a moderate candidate space (also the CI smoke path), and
 * the acceptance assertion — ≥1.5× speedup at 4 workers on the heavy
   candidate space — gated on the host actually having 4 CPUs, since a
   process pool cannot beat sequential execution on a single core.
@@ -26,7 +26,7 @@ from repro.core import shorthands as sh
 from repro.core.alphabet import DNA
 from repro.core.query import Query
 from repro.core.syntax import And, lift, rel
-from repro.engine import ParallelEngine, QueryEngine
+from repro.engine import QueryEngine
 
 #: Acceptance criterion: multi-worker speedup on the heavy workload.
 SPEEDUP_WORKERS = 4
@@ -47,10 +47,10 @@ def _query() -> Query:
 
 
 def _evaluate(session, db, workers, bound):
-    engine = ParallelEngine(workers=workers, min_parallel_items=1)
+    """The answers plus the session's running parallel totals."""
     domain = session.domain_for(DNA, bound)
-    answers = session.evaluate(_query(), db, domain=domain, engine=engine)
-    return answers, engine.last_report
+    answers = session.evaluate(_query(), db, domain=domain, workers=workers)
+    return answers, session.stats.snapshot()["parallel"]
 
 
 def _best_of(runs, fn):
@@ -67,7 +67,7 @@ def test_single_worker(benchmark, dna_database):
     answers, report = benchmark(
         lambda: _evaluate(session, dna_database, 1, MODERATE_BOUND)
     )
-    assert report.mode == "sequential"
+    assert report.get("runs", 0) == 0  # one worker builds no pool
     assert isinstance(answers, frozenset)
 
 
@@ -78,7 +78,7 @@ def test_multi_worker(benchmark, dna_database):
             session, dna_database, SPEEDUP_WORKERS, MODERATE_BOUND
         )
     )
-    assert report.mode == "parallel"
+    assert report["pooled_runs"] >= 1
     sequential, _ = _evaluate(session, dna_database, 1, MODERATE_BOUND)
     assert answers == sequential
 
@@ -103,7 +103,7 @@ def test_parallel_speedup(dna_database):
         session, dna_database, SPEEDUP_WORKERS, HEAVY_BOUND
     )
     assert parallel == sequential
-    assert report.mode == "parallel"
+    assert report["pooled_runs"] >= 1
 
     single = _best_of(
         2, lambda: _evaluate(session, dna_database, 1, HEAVY_BOUND)
@@ -140,14 +140,13 @@ def main() -> None:
     session = QueryEngine()
     bound = HEAVY_BOUND
     single = _best_of(2, lambda: _evaluate(session, db, 1, bound))
-    answers, report = _evaluate(session, db, SPEEDUP_WORKERS, bound)
     multi = _best_of(
         2, lambda: _evaluate(session, db, SPEEDUP_WORKERS, bound)
     )
     print(f"1 worker:  {single * 1e3:8.0f} ms")
     print(f"{SPEEDUP_WORKERS} workers: {multi * 1e3:8.0f} ms")
     print(f"speedup:   {single / multi:.2f}x  ({os.cpu_count()} CPUs)")
-    print(report.describe())
+    print(session.stats.describe().splitlines()[-1])
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 """N-gram index storage vs. the in-memory scan on a 100k-row relation.
 
 One selection workload — a planted ``gcgcgc`` motif in 100 000 random
-DNA fragments, queried through the planner engine — runs over both
+DNA fragments, queried through the ``auto`` engine — runs over both
 storage backends.  The memory backend scans and kernel-filters every
 row; the n-gram backend answers the pushed-down mandatory-factor probe
 first, so the kernel only sees candidate rows.  The equivalence
@@ -80,8 +80,8 @@ def _databases():
 
 
 def _run(db):
-    """One cold-session planner evaluation (no shared compiled caches)."""
-    return QueryEngine().evaluate(_QUERY, db, length=CAP, engine="planner")
+    """One cold-session evaluation (no shared compiled caches)."""
+    return QueryEngine().evaluate(_QUERY, db, length=CAP, engine="auto")
 
 
 def _best_of(runs, fn):

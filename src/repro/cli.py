@@ -34,7 +34,7 @@ Six subcommands expose the library's main workflows:
 
 ``query`` exposes the observability layer
 (:mod:`repro.observability`): ``--stats`` prints the legacy
-cache/engine/parallel summary (including planner-rejection counts),
+cache/engine/parallel summary (including plan-rejection counts),
 ``--profile`` a per-stage time profile, ``--trace`` the full span
 tree, and ``--metrics-out PATH`` writes the schema-stable JSON
 :class:`~repro.observability.TraceReport`.  ``--explain`` prints the
@@ -42,7 +42,7 @@ normalized :mod:`repro.ir` plan — cost estimates, fired rewrite rules
 and the optimized algebra expression — instead of evaluating.
 ``--storage ngram`` (optionally with ``--index-dir``) loads relations
 into the positional n-gram index backend (:mod:`repro.storage`) the
-planner probes for pushed-down selection factors; ``--storage slp``
+plan's join steps probe for pushed-down selection factors; ``--storage slp``
 holds every cell as a straight-line program (:mod:`repro.slp`).
 All human-readable instrumentation goes to stderr so stdout stays a
 clean tuple stream.
@@ -320,17 +320,20 @@ def build_parser() -> argparse.ArgumentParser:
         choices=available_engines(),
         default="auto",
         help="evaluation engine from the repro.engine registry "
-        "(default: auto — planner first, naive fallback, when no "
-        "--length is given; upgraded to the parallel engine when "
-        "workers and candidate-space size warrant it)",
+        "(default: auto — executes the normalized plan at --length "
+        "or the certified bound, naive fallback for plans that "
+        "degrade; naive and algebra are the paper's reference "
+        "routes)",
     )
     query.add_argument(
         "--workers",
         type=int,
         default=None,
-        help="worker processes for sharded evaluation (default: one "
-        "per CPU for the parallel engine; 1 forces sequential). "
-        "Answers are identical for every worker count.",
+        help="worker processes for sharded evaluation by the auto "
+        "and algebra engines (default: one per CPU for auto, which "
+        "pools only expensive plan branches and candidate spaces; "
+        "1 forces sequential). Answers are identical for every "
+        "worker count.",
     )
     query.add_argument(
         "--shards",
@@ -344,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="memory",
         help="relation storage backend (default: memory — plain "
         "frozensets; ngram builds positional n-gram indexes the "
-        "planner probes for pushed-down selection factors; slp "
+        "plan's join steps probe for pushed-down selection factors; slp "
         "compresses cells into straight-line programs with "
         "grammar-extracted prefilters). Answers are identical for "
         "every backend.",

@@ -1,122 +1,57 @@
-"""A conjunctive query planner for alignment calculus.
+"""The step executors of conjunctive plans.
 
 The theoretical evaluation routes — brute-force enumeration over
 ``Σ^{<=l}`` (Section 2's truncation semantics) and the Theorem 4.2
 algebra translation — both materialize candidate strings per variable,
-which is hopeless once the certified truncation bound is loose.  This
-planner implements the evaluation strategy the paper's Eq. (6) hints
-at for the common query shape
+which is hopeless once the certified truncation bound is loose.  The
+paper's Eq. (6) hints at a faster strategy for the query shape
 
     ∃ y₁ … y_n . (L₁ ∧ L₂ ∧ … ∧ L_m)
 
 where each literal ``Lᵢ`` is a relational atom, a string formula, or a
-negation of either:
+negation of either.  :mod:`repro.ir.normalize` orders such a branch
+into :class:`~repro.ir.plan.PlanStep`\\ s and
+:func:`repro.ir.execute.execute_branch` runs them through the three
+executors of this module:
 
-1. relational atoms are joined first (they ground variables in
-   database strings);
-2. a string formula with unbound variables is turned into a
-   *generator*: its compiled machine runs as a generalized Mealy
-   machine (Definition 3.1), producing the unbound variables from the
-   bound ones — capped by the certified limit so unsafe generation
-   cannot run away;
-3. fully-bound literals (including negations) filter.
-
-Queries outside this shape fall back to the caller's naive engine.
+1. :func:`_join_relational` — a positive relational atom extends the
+   bindings with database rows (grounding variables in stored
+   strings);
+2. :func:`_generate` — a string formula with unbound variables runs
+   its compiled machine as a generalized Mealy machine (Definition
+   3.1), producing the unbound variables from the bound ones — capped
+   by the truncation bound so unsafe generation cannot run away;
+3. :func:`_filter_bound` — a fully-bound literal (including negations)
+   filters.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.core.alphabet import Alphabet
 from repro.core.database import Database
-from repro.core.syntax import (
-    And,
-    Exists,
-    Formula,
-    Not,
-    RelAtom,
-    StringAtom,
-    Var,
-    string_variables,
-)
+from repro.core.syntax import RelAtom, Var
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.ir.plan import PlanStep
 
 Binding = dict[Var, str]
 
 
-@dataclass(frozen=True)
-class _Literal:
-    atom: Formula
-    negated: bool
-
-    def variables(self) -> frozenset[Var]:
-        if isinstance(self.atom, RelAtom):
-            return frozenset(self.atom.args)
-        return string_variables(self.atom.formula)
-
-
-def decompose_conjunctive(
-    formula: Formula,
-) -> tuple[list[Var], list[_Literal]] | None:
-    """Strip the ∃-prefix and flatten the conjunction of literals.
-
-    Returns ``None`` when the formula does not have the supported
-    shape (e.g. nested quantifiers under negation, disjunctions).
-    The result is a pure function of the formula — engine sessions
-    cache it as the query's *plan*.  Recorded as a ``plan``-stage span
-    on the ambient tracer.
-    """
-    from repro.observability import current_tracer
-
-    with current_tracer().span("plan.decompose", stage="plan"):
-        return _decompose_conjunctive(formula)
-
-
-def _decompose_conjunctive(
-    formula: Formula,
-) -> tuple[list[Var], list[_Literal]] | None:
-    """The uninstrumented shape analysis behind :func:`decompose_conjunctive`."""
-    quantified: list[Var] = []
-    body = formula
-    while isinstance(body, Exists):
-        quantified.append(body.var)
-        body = body.inner
-
-    literals: list[_Literal] = []
-
-    def flatten(node: Formula) -> bool:
-        if isinstance(node, And):
-            return flatten(node.left) and flatten(node.right)
-        if isinstance(node, (RelAtom, StringAtom)):
-            literals.append(_Literal(node, False))
-            return True
-        if isinstance(node, Not) and isinstance(
-            node.inner, (RelAtom, StringAtom)
-        ):
-            literals.append(_Literal(node.inner, True))
-            return True
-        return False
-
-    if not flatten(body):
-        return None
-    return quantified, literals
-
-
 def _join_relational(
     bindings: list[Binding],
-    literal: _Literal,
+    literal: "PlanStep",
     db: Database,
     restrict_rows: frozenset[tuple[str, ...]] | None = None,
 ) -> list[Binding]:
-    """Extend bindings with the rows of the literal's relation.
+    """Extend bindings with the rows of the step's relation.
 
-    When the literal is a :class:`~repro.ir.plan.PlanStep` carrying
-    pushed-down index ``prefilter`` factors *and* the relation's
-    storage backend answers candidate probes, only the candidate rows
-    are scanned — the ``index.pruned`` counter records how many rows
-    the probe excluded.  Backends without an index (or literals
-    without prefilters) scan the full relation, exactly as before.
+    When the step carries pushed-down index ``prefilter`` factors
+    *and* the relation's storage backend answers candidate probes,
+    only the candidate rows are scanned — the ``index.pruned`` counter
+    records how many rows the probe excluded.  Backends without an
+    index (or steps without prefilters) scan the full relation.
 
     ``restrict_rows`` replaces the scanned row set entirely — the
     semi-naive maintenance hook: incremental re-execution feeds the
@@ -129,7 +64,7 @@ def _join_relational(
     atom: RelAtom = literal.atom
     view = db.relation(atom.name)
     rows = view if restrict_rows is None else restrict_rows
-    prefilter = getattr(literal, "prefilter", ())
+    prefilter = literal.prefilter
     if prefilter and restrict_rows is None:
         storage = view.storage
         rows_for = getattr(storage, "rows_for", None)
@@ -163,7 +98,7 @@ def _join_relational(
 
 def _filter_bound(
     bindings: list[Binding],
-    literal: _Literal,
+    literal: "PlanStep",
     db: Database,
     alphabet: Alphabet | None = None,
     session=None,
@@ -217,7 +152,7 @@ def _filter_bound(
 
 def _generate(
     bindings: list[Binding],
-    literal: _Literal,
+    literal: "PlanStep",
     alphabet: Alphabet,
     cap: int,
     session=None,
@@ -280,98 +215,3 @@ def _generate(
             extended.update(zip(free_order, values))
             out.append(extended)
     return out
-
-
-def evaluate_conjunctive(
-    formula: Formula,
-    head: Sequence[Var],
-    db: Database,
-    alphabet: Alphabet,
-    cap: int,
-    session=None,
-    executor=None,
-) -> frozenset[tuple[str, ...]] | None:
-    """Evaluate a conjunctive query, or ``None`` if unsupported.
-
-    ``cap`` bounds generated string lengths (supply the certified limit
-    function's value ``W(db)``; for safe queries generation halts long
-    before the cap is reached).  ``session`` — when given — is a
-    :class:`repro.engine.QueryEngine` whose plan, compile, specialize
-    and generate caches back every stage.  ``executor`` — when given —
-    is a :class:`repro.parallel.ParallelExecutor` that shards the
-    generate stages across worker processes; joins and filters stay
-    in-process (they are cheap dictionary passes over materialized
-    bindings).
-    """
-    from repro.observability import current_tracer
-
-    tracer = current_tracer()
-    if session is not None:
-        decomposed = session.plan(formula)
-    else:
-        decomposed = decompose_conjunctive(formula)
-    if decomposed is None:
-        return None
-    _, literals = decomposed
-    pending = list(literals)
-    bindings: list[Binding] = [{}]
-    progress = True
-    while pending and progress:
-        progress = False
-        bound_vars = set().union(*(set(b) for b in bindings)) if bindings else set()
-
-        def pick():
-            # 1. fully bound literals (cheap filters, incl. negations)
-            for item in pending:
-                if item.variables() <= bound_vars:
-                    return item, "filter"
-            # 2. positive relational atoms (ground new variables)
-            for item in pending:
-                if isinstance(item.atom, RelAtom) and not item.negated:
-                    return item, "join"
-            # 3. positive string formulae: generate, fewest unbound first
-            candidates = [
-                item
-                for item in pending
-                if isinstance(item.atom, StringAtom) and not item.negated
-            ]
-            if candidates:
-                best = min(
-                    candidates,
-                    key=lambda item: len(item.variables() - bound_vars),
-                )
-                return best, "generate"
-            return None, None
-
-        literal, action = pick()
-        if literal is None:
-            break
-        pending.remove(literal)
-        progress = True
-        with tracer.span(
-            f"execute.{action}", stage="execute", bindings=len(bindings)
-        ):
-            if action == "filter":
-                bindings = _filter_bound(
-                    bindings, literal, db, alphabet, session
-                )
-            elif action == "join":
-                bindings = _join_relational(bindings, literal, db)
-            else:
-                bindings = _generate(
-                    bindings, literal, alphabet, cap, session, executor
-                )
-        if not bindings:
-            return frozenset()
-        # Joins and generators can produce duplicate bindings; dedupe
-        # to keep the intermediate result a relation.
-        unique = {tuple(sorted(b.items())): b for b in bindings}
-        bindings = list(unique.values())
-    if pending:
-        return None  # e.g. a negation with forever-unbound variables
-    answers = set()
-    for binding in bindings:
-        if any(var not in binding for var in head):
-            return None
-        answers.add(tuple(binding[var] for var in head))
-    return frozenset(answers)

@@ -69,14 +69,14 @@ class Query:
         ``engine`` names a strategy from the :mod:`repro.engine`
         registry, or is an :class:`~repro.engine.Engine` object:
 
-        * ``"auto"`` (default) — planner-first with naive fallback when
-          no ``length``/``domain`` is given; plain naive otherwise.
+        * ``"auto"`` (default) — executes the normalized plan (joins,
+          then machine generation) at ``length`` or the certified
+          bound, falling back to the naive check when the plan
+          degrades to a naive root or ``domain`` is given.
         * ``"naive"`` — the direct model checker of
           :mod:`repro.core.semantics` (reference oracle).
         * ``"algebra"`` — translate to alignment algebra (Theorem 4.2)
           and evaluate the expression (the paper's procedural route).
-        * ``"planner"`` — the conjunctive planner of
-          :mod:`repro.core.planner` (joins, then machine generation).
 
         Evaluation routes through the process-wide
         :class:`repro.engine.QueryEngine` session, so compiled

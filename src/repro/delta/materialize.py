@@ -22,11 +22,13 @@ stored entries and repairs each one per branch:
 * any other branch — deletes, or a touched relation under negation —
   is recomputed from scratch (``delta.materialize.branch_recomputed``).
 
-Entries fall back to full eviction when the plan root is naive or the
-delta may move the certified length cap: the cap is a monotone
-function of per-relation maximum string lengths, so an insert-only
-delta whose strings are no longer than the recorded maxima provably
-keeps the cap; anything riskier drops the entry
+Entries fall back to full eviction when the plan root is naive, when
+the delta may move the certified length cap, or when it inserts a
+string outside the entry's ``Σ^{<=cap}`` (the normalizer plans such
+a query naively, ``data-outside-domain``): the cap is a
+monotone function of per-relation maximum string lengths, so an
+insert-only delta whose strings are no longer than the recorded maxima
+provably keeps the cap; anything riskier drops the entry
 (``delta.materialize.cap_dropped``) and the next evaluation recomputes
 from scratch.
 """
@@ -238,22 +240,29 @@ class MaterializedStore:
     def _cap_stable(
         entry: MaterializedAnswer, delta: Delta, affected: set[str]
     ) -> bool:
-        """Whether the certified cap provably survives ``delta``.
+        """Whether the entry's plan and cap provably survive ``delta``.
 
-        The cap is a monotone function of per-relation maximum string
-        lengths, so with an explicit cap it is always stable; with a
-        certified cap it is stable exactly when no affected relation
-        loses a maximal-length row or gains a longer one.
+        No insert may bring a string outside ``Σ^{<=cap}``: a longer
+        string, or one with a symbol outside the query alphabet, makes
+        the normalizer plan the query naively.  The certified cap is
+        moreover a monotone function of per-relation maximum string
+        lengths, so it is stable exactly when no affected relation
+        loses a maximal-length row or gains a longer one; an explicit
+        cap never moves.  O(|Δ|).
         """
-        if entry.explicit:
-            return True
+        symbols = frozenset(entry.alphabet.symbols)
         for name in affected:
-            recorded = entry.max_lengths.get(name, 0)
-            for row in delta.deletes_for(name):
-                if any(len(value) >= recorded for value in row):
-                    return False
+            limit = entry.cap
+            if not entry.explicit:
+                limit = entry.max_lengths.get(name, 0)
+                for row in delta.deletes_for(name):
+                    if any(len(value) >= limit for value in row):
+                        return False
             for row in delta.inserts_for(name):
-                if any(len(value) > recorded for value in row):
+                if any(
+                    len(value) > limit or not symbols.issuperset(value)
+                    for value in row
+                ):
                     return False
         return True
 

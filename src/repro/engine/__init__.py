@@ -10,8 +10,9 @@ This package makes repeated and batched query traffic the fast path:
 * The **engine registry** — :func:`register_engine` /
   :func:`get_engine` over the :class:`Engine` protocol, replacing the
   stringly-typed dispatch that used to live inside ``Query.evaluate``.
-  The built-ins ``naive``, ``planner``, ``algebra``, ``parallel``
-  and ``auto`` are registered on import.
+  The built-ins ``naive`` and ``algebra`` (the paper's reference
+  routes) and ``auto`` (the production engine) are registered on
+  import.
 
 ``Query.evaluate`` routes through :func:`default_engine`, the lazily
 created process-wide session, so plain library use gets artifact reuse
@@ -30,8 +31,6 @@ from repro.engine.strategies import (
     AlgebraEngine,
     AutoEngine,
     NaiveEngine,
-    ParallelEngine,
-    PlannerEngine,
     register_default_engines,
 )
 from repro.engine.session import (
@@ -48,8 +47,6 @@ __all__ = [
     "EngineStats",
     "KeyedCache",
     "NaiveEngine",
-    "ParallelEngine",
-    "PlannerEngine",
     "QueryEngine",
     "available_engines",
     "default_engine",

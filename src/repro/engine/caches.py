@@ -241,7 +241,7 @@ class EngineStats:
         )
 
     def record_reject(self, reason: str) -> None:
-        """Count one planner rejection (fallback to naive evaluation).
+        """Count one plan rejection (fallback to naive evaluation).
 
         Args:
             reason: The stable rejection reason from the plan's

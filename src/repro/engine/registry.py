@@ -1,12 +1,10 @@
 """The engine registry: named evaluation strategies behind one protocol.
 
-Historically ``Query.evaluate`` dispatched on the string literals
-``"naive" | "planner" | "algebra"`` hardcoded in :mod:`repro.core.query`.
-The registry replaces that with first-class :class:`Engine` objects:
-the built-in strategies register themselves under their traditional
-names (so every existing call site keeps working), and callers may
-register their own engines or pass an engine object directly to
-``Query.evaluate`` / ``QueryEngine.evaluate``.
+Strategies are first-class :class:`Engine` objects: the built-in
+strategies (``naive``, ``algebra``, ``auto``) register themselves
+under their names, and callers may register their own engines or pass
+an engine object directly to ``Query.evaluate`` /
+``QueryEngine.evaluate``.
 """
 
 from __future__ import annotations
@@ -84,10 +82,9 @@ def unregister_engine(name: str) -> None:
 def get_engine(spec: "str | Engine") -> Engine:
     """Resolve an engine name or pass an engine object through.
 
-    Accepts the registered string names (``"naive"``, ``"planner"``,
-    ``"algebra"``, ``"auto"``, plus anything added via
-    :func:`register_engine`) or any object implementing the
-    :class:`Engine` protocol.
+    Accepts the registered string names (``"naive"``, ``"algebra"``,
+    ``"auto"``, plus anything added via :func:`register_engine`) or
+    any object implementing the :class:`Engine` protocol.
     """
     if isinstance(spec, str):
         try:

@@ -82,7 +82,6 @@ class QueryEngine:
         )
         self._limit = register(KeyedCache("limit"))
         self._translate = register(KeyedCache("translate"))
-        self._plan = register(KeyedCache("plan"))
         self._ir = register(KeyedCache("ir"))
         self._optimize = register(KeyedCache("optimize"))
         self._domain_stats = register(KeyedCache("domain")).stats
@@ -107,7 +106,7 @@ class QueryEngine:
         """Wrap a cache-miss thunk so it runs under this session's tracer.
 
         Lower layers (the Theorem 3.1 compiler, Lemma 3.1
-        specialization, the algebra translator, the planner) open their
+        specialization, the algebra translator, the plan executor) open their
         own stage-tagged spans through the ambient
         :func:`~repro.observability.current_tracer`; activation routes
         those spans into this session's tracer.  With tracing disabled
@@ -204,7 +203,7 @@ class QueryEngine:
         kernel in the Theorem 5.2 fragment, the worklist kernel
         otherwise.  The kernel is additionally stashed on the machine
         instance, so the acceptance hot paths (the algebra's
-        non-generative selection, the planner's row filters) never
+        non-generative selection, the plan's filter steps) never
         recompile — and since the scan kernel carries its per-rule
         summary memo, compressed-input summaries are shared across
         every query and batch of the session.
@@ -241,7 +240,7 @@ class QueryEngine:
     ) -> frozenset[tuple[str, ...]]:
         """``accepted_tuples`` with specialization and answers cached.
 
-        The generator-machine fast path behind the planner and the
+        The generator-machine fast path behind plan execution and the
         algebra's ``σ_A(F × (Σ*)^n)``.
         """
         from repro.fsa.generate import accepted_tuples
@@ -334,18 +333,6 @@ class QueryEngine:
                 )
             ),
             depends=self._dep_context,
-        )
-
-    def plan(self, formula: "Formula"):
-        """The planner's conjunctive decomposition of ``formula``, cached.
-
-        Returns the quantifier prefix plus literal list, cached per
-        formula.
-        """
-        from repro.core.planner import decompose_conjunctive
-
-        return self._plan.get_or_compute(
-            formula, self._activated(lambda: decompose_conjunctive(formula))
         )
 
     def query_plan(self, query: "Query", db: Database, cap: int):
@@ -490,8 +477,7 @@ class QueryEngine:
         """Record an *actually taken* naive fallback, exactly once.
 
         Engines call this only when they are the one doing the
-        fallback work (``auto`` delegates, so it never notes).  The
-        reason lands in :attr:`stats` (visible in ``--stats`` without
+        fallback work.  The reason lands in :attr:`stats` (visible in ``--stats`` without
         tracing) and — when tracing is enabled — as a
         ``plan.reject.<reason>`` counter.
 
@@ -730,14 +716,14 @@ class QueryEngine:
     ) -> frozenset[tuple[str, ...]]:
         """Evaluate one query through a registered strategy.
 
-        ``engine`` is a registered name (``"naive"``, ``"planner"``,
-        ``"algebra"``, ``"parallel"``, ``"auto"``) or an
-        :class:`Engine` object.  ``workers``/``shards`` configure
-        strategies that support sharded execution (``parallel``,
-        ``algebra`` and ``auto``) via their ``configured`` hook; other
-        strategies ignore the hint — the answer set never depends on
-        it.  See :meth:`repro.core.query.Query.evaluate` for the
-        semantics of ``length`` and ``domain``.
+        ``engine`` is a registered name (``"naive"``, ``"algebra"``,
+        ``"auto"``) or an :class:`Engine` object.
+        ``workers``/``shards`` configure strategies that support
+        sharded execution (``algebra`` and ``auto``) via their
+        ``configured`` hook; other strategies ignore the hint — the
+        answer set never depends on it.  See
+        :meth:`repro.core.query.Query.evaluate` for the semantics of
+        ``length`` and ``domain``.
 
         With ``materialize=True`` the session keeps a
         :class:`~repro.delta.MaterializedAnswer` for the query:

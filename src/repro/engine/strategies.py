@@ -3,36 +3,34 @@
 Each strategy implements the :class:`~repro.engine.registry.Engine`
 protocol and routes its machinery through the invoking session so that
 compiled machines, specializations, limit reports and ``Σ^{<=l}``
-enumerations are shared across calls:
+enumerations are shared across calls.  All three compute the paper's
+one answer, the truncated ``⟦φ⟧^l_db`` (Section 2):
 
-Every strategy consumes the session's normalized
-:class:`~repro.ir.plan.QueryPlan` (``session.query_plan``):
-
-* ``naive``    — the reference model checker over an explicit domain,
-  evaluating the plan's *simplified* formula;
-* ``planner``  — executes the plan's conjunctive branches (join steps
-  probe the relation storage's n-gram index for pushed-down selection
-  factors when one is available); raises when the plan degraded to a
-  naive fallback;
-* ``algebra``  — Theorem 4.2 translation rewritten by the
+* ``naive``   — the reference model checker over ``domain^k``,
+  evaluating the normalized plan's *simplified* formula;
+* ``algebra`` — Theorem 4.2 translation rewritten by the
   :mod:`repro.ir.rewrite` passes, then expression evaluation
   (sharding its selections across workers when configured);
-* ``parallel`` — the process-pool layer of :mod:`repro.parallel`:
-  plannable queries shard their generator runs branch-by-branch,
-  everything else shards the naive candidate space — the answer set
-  is identical to the sequential engines for every worker and shard
-  count;
-* ``auto``     — plan-first with per-branch strategy choice: branches
-  whose cost estimate clears :data:`AUTO_PARALLEL_THRESHOLD` run on
-  the worker pool, cheap branches stay in-process.
+* ``auto``    — the production engine, the join-then-generate
+  strategy of Eq. (6): it plans at the explicit ``length`` (else the
+  certified bound) and executes the plan's conjunctive branches, each
+  on the worker pool when its cost estimate reaches
+  :data:`AUTO_PARALLEL_THRESHOLD` and more than one worker is
+  available.  A :class:`~repro.ir.plan.NaivePlan` root or an explicit
+  ``domain`` is checked with the reference semantics over
+  ``domain^k``, sharded through
+  :class:`~repro.parallel.tasks.NaiveShardTask` past the same
+  threshold.
 
-When a plan's root is a :class:`~repro.ir.plan.NaivePlan`, the engine
-that actually performs the fallback work calls
-``session.note_rejection`` — exactly once per evaluation — so silent
+The plan route and its fallback compute one set because the normalizer
+degrades every plan whose joins could bind a stored string outside the
+query's ``Σ^{<=cap}`` (``data-outside-domain``).  When a plan's root is
+a :class:`~repro.ir.plan.NaivePlan`, the engine doing the fallback work
+calls ``session.note_rejection`` — exactly once per evaluation — so
 naive fallbacks are observable in ``--stats`` and as
 ``plan.reject.<reason>`` counters.
 
-Sharding-capable strategies expose ``configured(workers=…, shards=…)``
+``algebra`` and ``auto`` expose ``configured(workers=…, shards=…)``
 returning a parameterized copy; ``QueryEngine.evaluate(workers=…)``
 uses that hook, so unconfigured strategies keep working untouched.
 
@@ -54,21 +52,84 @@ from typing import TYPE_CHECKING
 from repro.core.semantics import evaluate_naive
 from repro.core.syntax import free_variables
 from repro.engine.registry import register_engine
-from repro.errors import AssignmentError, EvaluationError
+from repro.errors import AssignmentError
 from repro.ir.execute import execute_plan
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.database import Database
     from repro.core.query import Query
     from repro.engine.session import QueryEngine
+    from repro.ir.plan import QueryPlan
     from repro.parallel.executor import ParallelExecutor
-    from repro.parallel.tasks import ChaosPolicy
 
-#: Estimated branch cost (and, for explicit truncations, candidate-
-#: space size ``|domain|^k``) above which the ``auto`` strategy routes
-#: work to the ``parallel`` engine, provided more than one worker is
+#: Estimated branch cost (and candidate-space size ``|domain|^k`` for
+#: the reference-semantics check) from which the ``auto`` strategy
+#: runs the work on the worker pool, provided more than one worker is
 #: available.
 AUTO_PARALLEL_THRESHOLD = 2048
+
+
+def _longest(domain: tuple[str, ...]) -> int:
+    return max((len(s) for s in domain), default=0)
+
+
+def _check_candidates(
+    query: "Query",
+    db: "Database",
+    session: "QueryEngine",
+    plan: "QueryPlan",
+    domain: tuple[str, ...],
+    executor: "ParallelExecutor | None" = None,
+) -> frozenset[tuple[str, ...]]:
+    """Check every head tuple of ``domain^k`` with the reference semantics.
+
+    Notes the plan's rejection (a no-op for conjunctive roots), then
+    evaluates the plan's simplified formula — in-process, or sharded
+    into candidate ranges across ``executor``'s pool.
+
+    Args:
+        query: The calculus query (its head fixes the tuple width).
+        db: The database instance.
+        session: The invoking session (tracer, rejection stats).
+        plan: The normalized plan whose simplified formula is checked.
+        domain: The candidate domain.
+        executor: An optional executor sharding the candidate space.
+
+    Returns:
+        The satisfying head tuples.
+
+    Raises:
+        AssignmentError: If the formula has free variables missing
+            from the head (the candidate space cannot cover them).
+    """
+    session.note_rejection(plan)
+    tracer = session.tracer
+    formula = plan.simplified
+    total = len(domain) ** len(query.head)
+    tracer.gauge("naive.candidate_space", total)
+    if executor is None:
+        with tracer.span(
+            "execute.naive", stage="execute", domain=len(domain)
+        ):
+            return evaluate_naive(formula, query.head, db, domain)
+    from repro.parallel.tasks import NaiveShardTask
+
+    missing = free_variables(formula) - set(query.head)
+    if missing:
+        raise AssignmentError(
+            f"free variables {sorted(missing)} are not in the query head"
+        )
+    shard_results = executor.run(
+        [
+            NaiveShardTask(shard, formula, query.head, db, domain)
+            for shard in executor.plan(total)
+        ]
+    )
+    answers: set[tuple[str, ...]] = set()
+    with tracer.span("fold.naive", stage="fold", shards=len(shard_results)):
+        for partial in shard_results:
+            answers.update(partial)
+    return frozenset(answers)
 
 
 class NaiveEngine:
@@ -99,75 +160,13 @@ class NaiveEngine:
         Returns:
             The answer set as a frozenset of head tuples.
         """
-        tracer = session.tracer
         if domain is None:
             if length is None:
                 length = session.certified_length(query, db)
             domain = session.domain_for(query.alphabet, length)
-        cap = (
-            length
-            if length is not None
-            else max((len(s) for s in domain), default=0)
-        )
+        cap = length if length is not None else _longest(domain)
         plan = session.query_plan(query, db, cap)
-        session.note_rejection(plan)
-        tracer.gauge(
-            "naive.candidate_space", len(domain) ** len(query.head)
-        )
-        with tracer.span(
-            "execute.naive", stage="execute", domain=len(domain)
-        ):
-            return evaluate_naive(plan.simplified, query.head, db, domain)
-
-
-class PlannerEngine:
-    """The plan executor; raises for shapes the normalizer rejects."""
-
-    name = "planner"
-
-    def evaluate(
-        self,
-        query: "Query",
-        db: "Database",
-        session: "QueryEngine",
-        *,
-        length: int | None = None,
-        domain: tuple[str, ...] | None = None,
-    ) -> frozenset[tuple[str, ...]]:
-        """Execute the normalized plan against the session's caches.
-
-        Args:
-            query: The calculus query to evaluate.
-            db: The database instance.
-            session: The invoking session (plan/compile/generate caches).
-            length: Optional explicit generation cap.
-            domain: Optional explicit domain; only its maximum string
-                length is used (as the cap).
-
-        Returns:
-            The answer set as a frozenset of head tuples.
-
-        Raises:
-            EvaluationError: If the plan degraded to a naive fallback
-                (the rejection reason is noted and included).
-        """
-        cap = length
-        if cap is None:
-            if domain is not None:
-                cap = max((len(s) for s in domain), default=0)
-            else:
-                cap = session.certified_length(query, db)
-        plan = session.query_plan(query, db, cap)
-        reason = plan.fallback_reason
-        if reason is not None:
-            session.note_rejection(plan)
-            raise EvaluationError(
-                "query shape not supported by the conjunctive planner "
-                f"({reason})"
-            )
-        return execute_plan(
-            plan, db, query.alphabet, cap, session=session, domain=domain
-        )
+        return _check_candidates(query, db, session, plan, domain)
 
 
 class AlgebraEngine:
@@ -187,7 +186,6 @@ class AlgebraEngine:
     ) -> None:
         self.workers = workers
         self.shards = shards
-        self.last_report = None
 
     def configured(
         self, workers: int | None = None, shards: int | None = None
@@ -249,7 +247,7 @@ class AlgebraEngine:
         bound = length
         if bound is None:
             if domain is not None:
-                bound = max((len(s) for s in domain), default=0)
+                bound = _longest(domain)
             else:
                 bound = session.certified_length(query, db)
         executor = self._executor(session)
@@ -260,229 +258,23 @@ class AlgebraEngine:
             )
         finally:
             if executor is not None:
-                self.last_report = executor.report
                 session.stats.record_parallel(executor.report)
 
 
-class ParallelEngine:
-    """Process-pool sharded evaluation (:mod:`repro.parallel`).
-
-    Mirrors the ``auto`` selection policy so its answers line up with
-    the sequential engines tuple-for-tuple:
-
-    * planner-shaped queries (no explicit ``domain``) run through the
-      conjunctive planner with the per-binding generator runs sharded
-      across workers;
-    * everything else shards the naive candidate space ``domain^k``
-      into deterministic ranges, each worker filtering its slice
-      through the reference semantics.
-
-    Worker/shard counts never change the answer set: shards partition
-    the candidate space, and the union of the partial answers is the
-    sequential answer by construction.  Every evaluation leaves an
-    :class:`~repro.parallel.executor.ExecutionReport` on
-    ``last_report`` and in ``session.stats``.
-    """
-
-    name = "parallel"
-
-    def __init__(
-        self,
-        workers: int | None = None,
-        shards: int | None = None,
-        *,
-        timeout: float | None = None,
-        max_retries: int = 2,
-        chaos: "ChaosPolicy | None" = None,
-        min_parallel_items: int | None = None,
-    ) -> None:
-        self.workers = workers
-        self.shards = shards
-        self.timeout = timeout
-        self.max_retries = max_retries
-        self.chaos = chaos
-        self.min_parallel_items = min_parallel_items
-        self.last_report = None
-
-    def configured(
-        self,
-        workers: int | None = None,
-        shards: int | None = None,
-        **overrides,
-    ) -> "ParallelEngine":
-        """Return a copy parameterized with worker/shard/robustness settings.
-
-        Args:
-            workers: Worker-process count, or ``None`` to keep the
-                current setting.
-            shards: Shard-count override, or ``None`` to keep the
-                current setting.
-            **overrides: Optional ``timeout``, ``max_retries``,
-                ``chaos``, ``min_parallel_items`` replacements.
-
-        Returns:
-            A new :class:`ParallelEngine` with the merged settings.
-        """
-        return ParallelEngine(
-            workers if workers is not None else self.workers,
-            shards if shards is not None else self.shards,
-            timeout=overrides.get("timeout", self.timeout),
-            max_retries=overrides.get("max_retries", self.max_retries),
-            chaos=overrides.get("chaos", self.chaos),
-            min_parallel_items=overrides.get(
-                "min_parallel_items", self.min_parallel_items
-            ),
-        )
-
-    def _executor(self, session: "QueryEngine") -> "ParallelExecutor":
-        from repro.parallel.executor import (
-            DEFAULT_MIN_PARALLEL_ITEMS,
-            ParallelExecutor,
-        )
-        from repro.parallel.sharding import ShardPlanner
-
-        return ParallelExecutor(
-            self.workers,
-            timeout=self.timeout,
-            max_retries=self.max_retries,
-            chaos=self.chaos,
-            min_parallel_items=(
-                self.min_parallel_items
-                if self.min_parallel_items is not None
-                else DEFAULT_MIN_PARALLEL_ITEMS
-            ),
-            planner=ShardPlanner(self.shards),
-            tracer=session.tracer,
-        )
-
-    def evaluate(
-        self,
-        query: "Query",
-        db: "Database",
-        session: "QueryEngine",
-        *,
-        length: int | None = None,
-        domain: tuple[str, ...] | None = None,
-    ) -> frozenset[tuple[str, ...]]:
-        """Evaluate with sharded workers, planner-first then naive.
-
-        Args:
-            query: The calculus query to evaluate.
-            db: The database instance.
-            session: The invoking session (caches, stats, tracer).
-            length: Optional explicit truncation bound.
-            domain: Optional explicit candidate domain.
-
-        Returns:
-            The answer set — identical to the sequential engines for
-            every worker and shard count.
-        """
-        executor = self._executor(session)
-        explicit_domain = domain is not None
-        if length is None and domain is None:
-            length = session.certified_length(query, db)
-        try:
-            result = None
-            formula = query.formula
-            if not explicit_domain:
-                # Explicit domains carry their own semantics; the plan
-                # route's padding assumes Σ^{<=l} truncation, so only
-                # the length-bounded regime goes through it.
-                plan = session.query_plan(query, db, length)
-                if plan.fallback_reason is None:
-                    result = execute_plan(
-                        plan,
-                        db,
-                        query.alphabet,
-                        length,
-                        session=session,
-                        executor=executor,
-                    )
-                else:
-                    session.note_rejection(plan)
-                    formula = plan.simplified
-            if result is None:
-                if domain is None:
-                    # Only the naive fallback materializes Σ^{<=l};
-                    # plannable queries never pay for it.
-                    domain = session.domain_for(query.alphabet, length)
-                result = self._naive_sharded(
-                    query, db, domain, executor, formula
-                )
-        finally:
-            self.last_report = executor.report
-            session.stats.record_parallel(executor.report)
-        return result
-
-    def _naive_sharded(
-        self,
-        query: "Query",
-        db: "Database",
-        domain: tuple[str, ...],
-        executor: "ParallelExecutor",
-        formula=None,
-    ) -> frozenset[tuple[str, ...]]:
-        """Shard the candidate space ``domain^k`` across the pool.
-
-        Args:
-            query: The calculus query (its head fixes the tuple width).
-            db: The database instance.
-            domain: The explicit candidate domain.
-            executor: The executor sharding and running the tasks.
-            formula: The formula each shard checks; defaults to the
-                query's own (the plan route passes its simplified
-                form, which has the same answers).
-
-        Returns:
-            The union of the per-shard answer sets.
-
-        Raises:
-            AssignmentError: If the formula has free variables missing
-                from the head (the candidate space cannot cover them).
-        """
-        from repro.parallel.tasks import NaiveShardTask
-
-        if formula is None:
-            formula = query.formula
-        missing = free_variables(formula) - set(query.head)
-        if missing:
-            raise AssignmentError(
-                f"free variables {sorted(missing)} are not in the query head"
-            )
-        width = len(query.head)
-        total = len(domain) ** width if width else 1
-        executor.tracer.gauge("naive.candidate_space", total)
-        shards = executor.plan(total)
-        tasks = [
-            NaiveShardTask(shard, formula, query.head, db, domain)
-            for shard in shards
-        ]
-        shard_results = executor.run(tasks)
-        answers: set[tuple[str, ...]] = set()
-        with executor.tracer.span(
-            "fold.naive", stage="fold", shards=len(shard_results)
-        ):
-            for partial in shard_results:
-                answers.update(partial)
-        return frozenset(answers)
-
-
 class AutoEngine:
-    """Plan-first selection with per-branch strategy choice.
+    """Plan first, pool what is expensive, check the rest naively.
 
-    With no explicit ``length``/``domain`` the certified limit function
-    is derived and the normalized plan executed — certified bounds are
-    sound but loose, and only generation-based evaluation stays
-    practical under them.  When more than one worker is available each
+    The plan is built at the explicit ``length``, else at the certified
+    limit ``W_φ(db)`` — certified bounds are sound but loose, and only
+    generation-based evaluation stays practical under them.  Each
     conjunctive branch picks its own executor: branches whose cost
-    estimate clears :data:`AUTO_PARALLEL_THRESHOLD` shard their
-    generator runs across the pool, cheap branches stay in-process.
-    Plans that degraded to a naive fallback delegate to the
-    ``parallel`` or ``naive`` strategy (which note the rejection); with
-    an explicit truncation the naive reference semantics is used
-    directly, upgraded to ``parallel`` when the candidate space clears
-    the same threshold — so ``auto`` never changes an answer, only
-    where it is computed.
+    estimate reaches :data:`AUTO_PARALLEL_THRESHOLD` shard their
+    generator runs across the pool when more than one worker is
+    available, cheap branches stay in-process.  A naive plan root, or
+    an explicit ``domain``, is checked with the reference semantics
+    over ``domain^k``, sharded past the same threshold.  Worker and
+    shard counts never change the answer set, only where it is
+    computed; with one worker no pool is ever built.
     """
 
     name = "auto"
@@ -512,58 +304,42 @@ class AutoEngine:
             shards if shards is not None else self.shards,
         )
 
-    def _effective_workers(self) -> int:
-        if self.workers is not None:
-            return self.workers
-        from repro.parallel.executor import default_worker_count
+    def _pool(
+        self, session: "QueryEngine", cost: float
+    ) -> "ParallelExecutor | None":
+        """The worker pool for work of estimated size ``cost``, if any."""
+        if cost < AUTO_PARALLEL_THRESHOLD:
+            return None
+        workers = self.workers
+        if workers is None:
+            from repro.parallel.executor import default_worker_count
 
-        return default_worker_count()
+            workers = default_worker_count()
+        if workers < 2:
+            return None
+        from repro.parallel.executor import ParallelExecutor
+        from repro.parallel.sharding import ShardPlanner
 
-    def _parallel(self) -> ParallelEngine:
-        return PARALLEL.configured(
-            workers=self._effective_workers(), shards=self.shards
+        return ParallelExecutor(
+            workers, planner=ShardPlanner(self.shards), tracer=session.tracer
         )
 
     def _execute_plan(
         self,
-        plan,
+        plan: "QueryPlan",
         query: "Query",
         db: "Database",
         session: "QueryEngine",
         cap: int,
     ) -> frozenset[tuple[str, ...]]:
-        """Run a conjunctive plan, choosing an executor per branch.
-
-        Branches whose cost estimate clears
-        :data:`AUTO_PARALLEL_THRESHOLD` shard their generator runs
-        across the worker pool; the rest run in-process.  The pool is
-        created only when some branch actually qualifies.
-
-        Args:
-            plan: The normalized plan (conjunctive root).
-            query: The calculus query being evaluated.
-            db: The database instance.
-            session: The invoking session.
-            cap: The certified generation bound.
-
-        Returns:
-            The answer set.
-        """
-        workers = self._effective_workers()
-        expensive = workers > 1 and any(
-            branch.est_cost >= AUTO_PARALLEL_THRESHOLD
-            for branch in plan.branches()
+        """Run a conjunctive plan, choosing an executor per branch."""
+        executor = self._pool(
+            session, max(branch.est_cost for branch in plan.branches())
         )
-        if not expensive:
+        if executor is None:
             return execute_plan(
                 plan, db, query.alphabet, cap, session=session
             )
-        from repro.parallel.executor import ParallelExecutor
-        from repro.parallel.sharding import ShardPlanner
-
-        executor = ParallelExecutor(
-            workers, planner=ShardPlanner(self.shards), tracer=session.tracer
-        )
         try:
             return execute_plan(
                 plan,
@@ -589,7 +365,7 @@ class AutoEngine:
         length: int | None = None,
         domain: tuple[str, ...] | None = None,
     ) -> frozenset[tuple[str, ...]]:
-        """Route the query to the cheapest equivalent strategy.
+        """Execute the plan, or check the candidates of a naive root.
 
         Args:
             query: The calculus query to evaluate.
@@ -601,44 +377,37 @@ class AutoEngine:
         Returns:
             The answer set — the same set every routing choice yields.
         """
-        if domain is None and length is None:
-            cap = session.certified_length(query, db)
+        if domain is None:
+            cap = (
+                length
+                if length is not None
+                else session.certified_length(query, db)
+            )
             plan = session.query_plan(query, db, cap)
             if plan.fallback_reason is None:
                 return self._execute_plan(plan, query, db, session, cap)
-            if self._effective_workers() > 1:
-                # The parallel strategy notes the rejection itself.
-                return self._parallel().evaluate(query, db, session)
-            length = cap
-        if self._effective_workers() > 1:
-            pool = (
-                domain
-                if domain is not None
-                else session.domain_for(query.alphabet, length)
+            domain = session.domain_for(query.alphabet, cap)
+        else:
+            cap = length if length is not None else _longest(domain)
+            plan = session.query_plan(query, db, cap)
+        executor = self._pool(session, len(domain) ** len(query.head))
+        try:
+            return _check_candidates(
+                query, db, session, plan, domain, executor
             )
-            total = (
-                len(pool) ** len(query.head) if query.head else 1
-            )
-            session.tracer.gauge("auto.candidate_space", total)
-            if total >= AUTO_PARALLEL_THRESHOLD:
-                return self._parallel().evaluate(
-                    query, db, session, length=length, domain=domain
-                )
-        return NAIVE.evaluate(
-            query, db, session, length=length, domain=domain
-        )
+        finally:
+            if executor is not None:
+                session.stats.record_parallel(executor.report)
 
 
 NAIVE = NaiveEngine()
-PLANNER = PlannerEngine()
 ALGEBRA = AlgebraEngine()
-PARALLEL = ParallelEngine()
 AUTO = AutoEngine()
 
 
 def register_default_engines() -> None:
     """(Re-)register the built-in strategies under their names."""
-    for engine in (NAIVE, PLANNER, ALGEBRA, PARALLEL, AUTO):
+    for engine in (NAIVE, ALGEBRA, AUTO):
         register_engine(engine, replace=True)
 
 

@@ -16,8 +16,8 @@ evaluation strategy consumes:
   machine minimization) plus the index-prefilter pushdown over
   normalized plans (mandatory selection factors pushed onto join
   steps for n-gram index probing);
-* :mod:`repro.ir.execute` — plan execution shared by the planner,
-  parallel and auto strategies;
+* :mod:`repro.ir.execute` — plan execution behind the ``auto``
+  strategy and materialized-answer maintenance;
 * :mod:`repro.ir.explain` — the deterministic ``--explain`` renderer.
 """
 

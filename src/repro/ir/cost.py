@@ -46,6 +46,9 @@ class CostModel:
     the full per-column statistics and — being a tuple of frozen
     values — doubles as the database component of plan cache keys:
     two databases with equal statistics cost-rank plans identically.
+    ``foreign`` names the relations holding a character outside the
+    query alphabet (only ever non-empty when the database alphabet
+    has symbols the query alphabet lacks).
     """
 
     relation_sizes: tuple[tuple[str, int], ...]
@@ -53,6 +56,7 @@ class CostModel:
     alphabet_size: int
     cap: int
     domain_size: float
+    foreign: tuple[str, ...] = ()
 
     @classmethod
     def for_database(
@@ -80,12 +84,24 @@ class CostModel:
         domain = min(
             float(alphabet.count_strings(bounded_cap)), GENERATION_CEILING
         )
-        return cls(sizes, stats, len(alphabet.symbols), cap, domain)
+        symbols = frozenset(alphabet.symbols)
+        foreign: tuple[str, ...] = ()
+        if not symbols.issuperset(db.alphabet.symbols):
+            foreign = tuple(
+                name
+                for name, _ in stats
+                if any(
+                    not symbols.issuperset(value)
+                    for row in db.relation(name)
+                    for value in row
+                )
+            )
+        return cls(sizes, stats, len(alphabet.symbols), cap, domain, foreign)
 
     @property
     def signature(self) -> tuple:
         """The hashable database component of plan cache keys."""
-        return self.relation_stats
+        return (self.relation_stats, self.foreign)
 
     def relation_rows(self, name: str) -> int:
         """The cardinality of relation ``name`` (0 when unknown)."""
@@ -100,6 +116,26 @@ class CostModel:
             if known == name:
                 return stats
         return None
+
+    def outside_domain(self, name: str) -> bool:
+        """Whether relation ``name`` holds a string outside ``Σ^{<=cap}``.
+
+        Read off the stored statistics (each column's maximum length)
+        and :attr:`foreign`, so the check costs no pass over the rows.
+
+        Args:
+            name: The relation symbol.
+
+        Returns:
+            ``True`` when some stored string is longer than the cap or
+            uses a symbol outside the query alphabet.
+        """
+        if name in self.foreign:
+            return True
+        stats = self.stats_for(name)
+        return stats is not None and any(
+            column.max_length > self.cap for column in stats.columns
+        )
 
     def column_distinct(self, name: str, column: int) -> int:
         """Distinct count of one column (1 when unknown — no selectivity)."""

@@ -1,17 +1,20 @@
 """Executing normalized plans against a database.
 
-A :class:`~repro.ir.plan.ConjunctivePlan` executes exactly like the
-legacy conjunctive planner — bindings flow through join / generate /
-filter steps — except the step *order* comes from the plan (the cost
-model decided it at normalization time) instead of being re-derived
-greedily per run.  A :class:`~repro.ir.plan.UnionPlan` executes each
+A :class:`~repro.ir.plan.ConjunctivePlan` executes as bindings
+flowing through its join / generate / filter steps (the executors of
+:mod:`repro.core.planner`), in the order the cost model chose at
+normalization time.  A :class:`~repro.ir.plan.UnionPlan` executes each
 branch independently and unions the answers; branch independence is
 what lets the ``auto`` strategy parallelize expensive branches while
 running cheap ones in-process.
 
 Head variables a branch does not mention are padded with the full
 truncation domain ``Σ^{≤cap}`` — the truncation semantics of a
-disjunct that leaves an answer variable unconstrained.
+disjunct that leaves an answer variable unconstrained.  Join steps
+bind stored strings, which lie in that domain too: the normalizer
+degrades every plan over data outside it to a naive root
+(``data-outside-domain``), so execution and the reference semantics
+compute one set.
 """
 
 from __future__ import annotations

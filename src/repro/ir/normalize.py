@@ -21,7 +21,12 @@ Four passes, recorded per plan as ``(rule, count)`` pairs:
 
 Any branch the passes cannot shape degrades the whole plan to a
 :class:`~repro.ir.plan.NaivePlan` with a stable reason string —
-normalization never raises and never changes answers.
+normalization never raises and never changes answers.  So does a
+relation the formula names that holds a string outside the query
+alphabet's ``Σ^{<=cap}`` (``data-outside-domain``): a join would bind
+that string, while the truncation semantics ranges every variable over
+``Σ^{<=cap}`` only.  At the certified bound this never fires for
+length, because ``W_φ(db)`` covers every relation the formula names.
 """
 
 from __future__ import annotations
@@ -38,12 +43,14 @@ from repro.core.syntax import (
     Var,
     free_variables,
     fresh_variable,
+    relation_names,
     rename_free,
     string_variables,
 )
 from repro.ir.cost import CostModel
 from repro.ir.plan import (
     REASON_BRANCH_LIMIT,
+    REASON_DATA_OUTSIDE_DOMAIN,
     REASON_UNBOUND_NEGATION,
     REASON_UNSUPPORTED_LITERAL,
     ConjunctivePlan,
@@ -79,7 +86,7 @@ class _BranchLimit(Exception):
 
 @dataclass(frozen=True)
 class _Literal:
-    """A literal of a conjunctive branch (duck-typed like the planner's)."""
+    """A literal of a conjunctive branch, before it becomes a step."""
 
     atom: Formula
     negated: bool
@@ -371,34 +378,36 @@ def build_query_plan(
 ) -> QueryPlan:
     """Normalize ``formula`` into a :class:`QueryPlan` under ``model``.
 
-    Never raises: shapes the passes cannot make conjunctive produce a
-    :class:`NaivePlan` root carrying the rejection reason.  Pure in
-    its arguments — engine sessions cache the result keyed by the
-    formula, head, alphabet, database size signature and cap.
+    Never raises: shapes the passes cannot make conjunctive, and
+    formulae naming a relation that holds data outside the model's
+    ``Σ^{<=cap}``, produce a :class:`NaivePlan` root carrying the
+    rejection reason.  Pure in its arguments — engine sessions cache
+    the result keyed by the formula, head, alphabet, database
+    statistics signature and cap.
     """
     rules = _Rules()
     simplified = simplify(formula, rules)
-    try:
-        branches = _split(simplified, rules)
-    except _BranchLimit:
+
+    def naive(reason: str) -> QueryPlan:
         return QueryPlan(
             tuple(head),
             formula,
             simplified,
-            NaivePlan(simplified, REASON_BRANCH_LIMIT),
+            NaivePlan(simplified, reason),
             rules.snapshot(),
         )
+
+    if any(model.outside_domain(name) for name in relation_names(formula)):
+        return naive(REASON_DATA_OUTSIDE_DOMAIN)
+    try:
+        branches = _split(simplified, rules)
+    except _BranchLimit:
+        return naive(REASON_BRANCH_LIMIT)
     planned: list[ConjunctivePlan] = []
     for branch in branches:
         outcome = _plan_branch(branch, tuple(head), model, rules)
         if isinstance(outcome, str):
-            return QueryPlan(
-                tuple(head),
-                formula,
-                simplified,
-                NaivePlan(simplified, outcome),
-                rules.snapshot(),
-            )
+            return naive(outcome)
         planned.append(outcome)
     if len(planned) > 1:
         root: ConjunctivePlan | UnionPlan = UnionPlan(tuple(planned))

@@ -24,6 +24,10 @@ from repro.core.syntax import Formula, RelAtom, Var, string_variables
 REASON_UNSUPPORTED_LITERAL = "unsupported-literal"
 REASON_UNBOUND_NEGATION = "unbound-negation"
 REASON_BRANCH_LIMIT = "branch-limit"
+#: A relation the formula names holds a string outside the query
+#: alphabet's ``Σ^{<=cap}``: a join would bind it although the
+#: truncation semantics never ranges a variable over it.
+REASON_DATA_OUTSIDE_DOMAIN = "data-outside-domain"
 
 
 @dataclass(frozen=True)

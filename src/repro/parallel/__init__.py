@@ -16,11 +16,12 @@ of algebra selection.  This package supplies the pieces:
   recovery, retry-with-re-splitting, a sequential fallback and the
   :class:`~repro.parallel.executor.ExecutionReport` accounting;
 * :mod:`~repro.parallel.generation` — the cache-aware batch helpers
-  the planner and algebra layers call into.
+  the plan executor and the algebra layer call into.
 
-The user-facing entry point is the ``parallel`` engine registered in
-:mod:`repro.engine.strategies` (and the ``workers=`` argument of
-``QueryEngine.evaluate``); this package is engine-agnostic plumbing.
+The user-facing entry point is the ``workers=`` argument of
+``QueryEngine.evaluate``, which the ``auto`` and ``algebra`` engines
+of :mod:`repro.engine.strategies` honour; this package is
+engine-agnostic plumbing.
 """
 
 from repro.parallel.executor import (

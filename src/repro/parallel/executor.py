@@ -1,4 +1,4 @@
-"""The process-pool execution layer behind the ``parallel`` engine.
+"""The process-pool execution layer behind ``workers=`` evaluation.
 
 A :class:`ParallelExecutor` takes a list of shard tasks
 (:mod:`repro.parallel.tasks`), runs them across a
@@ -150,9 +150,8 @@ class ParallelExecutor:
     """Runs shard tasks with retry, re-splitting and timeouts.
 
     One executor accumulates one :class:`ExecutionReport` across any
-    number of :meth:`run` calls — the ``parallel`` engine creates an
-    executor per query evaluation so the report describes exactly that
-    evaluation.
+    number of :meth:`run` calls — the engines create an executor per
+    query evaluation so the report describes exactly that evaluation.
     """
 
     def __init__(

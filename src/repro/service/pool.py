@@ -16,7 +16,7 @@ under a rare race is harmless) and bounds *concurrency* instead: a
 slot semaphore caps how many evaluations run at once, and a matching
 thread executor runs the blocking evaluation off the event loop.
 Queries that want intra-query parallelism still get it — the
-``parallel``/``auto`` engines shard big plans across the
+``auto``/``algebra`` engines shard big plans across the
 :mod:`repro.parallel` process pool from inside their slot.
 """
 

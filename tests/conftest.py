@@ -8,6 +8,8 @@ import pytest
 # shadows the submodule as a package attribute.
 _DETERMINIZE = importlib.import_module("repro.fsa.determinize")
 _KERNEL = importlib.import_module("repro.fsa.kernel")
+_STRATEGIES = importlib.import_module("repro.engine.strategies")
+_EXECUTOR = importlib.import_module("repro.parallel.executor")
 
 
 @pytest.fixture
@@ -28,3 +30,28 @@ def forced_v1(monkeypatch):
 
     monkeypatch.setattr(_DETERMINIZE, "determinized_for", decline)
     monkeypatch.setattr(_KERNEL, "determinized_for", decline)
+
+
+@pytest.fixture
+def pooled(monkeypatch):
+    """Send all ``auto``/``algebra`` work at ``workers > 1`` to the pool.
+
+    Lowers ``AUTO_PARALLEL_THRESHOLD`` to 0 and every executor's
+    ``min_parallel_items`` to 1, so tiny test workloads cross real
+    process boundaries: each plan branch shards its generator runs and
+    each naive candidate space is sharded.  Returns a dict whose
+    entries (``chaos``, ``timeout``, ``max_retries``) are passed to
+    every executor built while the fixture is active.  At one worker
+    ``auto`` builds no executor at all.
+    """
+    settings = {}
+    build = _EXECUTOR.ParallelExecutor
+
+    def executor(workers=None, **kwargs):
+        kwargs["min_parallel_items"] = 1
+        kwargs.update(settings)
+        return build(workers, **kwargs)
+
+    monkeypatch.setattr(_STRATEGIES, "AUTO_PARALLEL_THRESHOLD", 0)
+    monkeypatch.setattr(_EXECUTOR, "ParallelExecutor", executor)
+    return settings

@@ -1,14 +1,27 @@
-"""Tests for the conjunctive query planner."""
+"""Tests for the plan route: conjunctive plans and their step executors.
 
-import pytest
+Paper queries are normalized (:func:`repro.ir.build_query_plan`) and
+executed (:func:`repro.ir.execute.execute_plan`, which runs the join /
+generate / filter executors of :mod:`repro.core.planner`); the answers
+must match the naive reference.  Shapes outside the conjunctive
+fragment get a naive plan root, which ``auto`` records and answers
+with the reference semantics.
+"""
 
 from repro.core import shorthands as sh
 from repro.core.alphabet import AB
 from repro.core.database import Database
-from repro.core.planner import evaluate_conjunctive
 from repro.core.query import Query
 from repro.core.semantics import evaluate_naive
 from repro.core.syntax import And, Not, exists, f_or, lift, rel
+from repro.engine import QueryEngine
+from repro.ir import CostModel, build_query_plan
+from repro.ir.execute import execute_plan
+from repro.ir.plan import (
+    REASON_UNBOUND_NEGATION,
+    REASON_UNSUPPORTED_LITERAL,
+)
+from repro.observability import Tracer
 
 
 def db() -> Database:
@@ -21,12 +34,20 @@ def db() -> Database:
     )
 
 
+def plan_for(formula, head, cap=3):
+    return build_query_plan(
+        formula, tuple(head), CostModel.for_database(db(), AB, cap)
+    )
+
+
 def assert_matches_naive(formula, head, length=3):
     database = db()
     expected = evaluate_naive(
         formula, head, database, tuple(AB.strings(length))
     )
-    got = evaluate_conjunctive(formula, head, database, AB, cap=length)
+    plan = plan_for(formula, head, length)
+    assert plan.fallback_reason is None, plan.fallback_reason
+    got = execute_plan(plan, database, AB, length)
     assert got == expected, (formula, expected, got)
 
 
@@ -66,23 +87,27 @@ class TestPlanner:
         assert_matches_naive(formula, ("y",), length=3)
 
     def test_unsupported_shapes_return_none(self):
+        """No conjunctive plan for a negated quantifier: the root is
+        naive.  Disjunctions split into a union of branches instead."""
         disjunction = f_or(rel("R2", "x"), rel("R2", "x"))
-        assert (
-            evaluate_conjunctive(disjunction, ("x",), db(), AB, cap=3) is None
-        )
+        assert_matches_naive(disjunction, ("x",))
         nested = Not(exists("y", rel("R1", "x", "y")))
-        assert evaluate_conjunctive(nested, ("x",), db(), AB, cap=3) is None
+        assert plan_for(nested, ("x",)).branches() == ()
+        assert (
+            plan_for(nested, ("x",)).fallback_reason
+            == REASON_UNSUPPORTED_LITERAL
+        )
 
     def test_unbound_negation_unsupported(self):
         formula = exists("y", Not(rel("R1", "x", "y")))
-        assert evaluate_conjunctive(formula, ("x",), db(), AB, cap=3) is None
+        assert plan_for(formula, ("x",)).fallback_reason == (
+            REASON_UNBOUND_NEGATION
+        )
 
     def test_empty_result_short_circuits(self):
         formula = And(rel("Empty", "x"), lift(sh.constant("x", "a")))
-        assert (
-            evaluate_conjunctive(formula, ("x",), db(), AB, cap=3)
-            == frozenset()
-        )
+        plan = plan_for(formula, ("x",))
+        assert execute_plan(plan, db(), AB, 3) == frozenset()
 
     def test_query_planner_engine(self):
         q = Query(
@@ -90,7 +115,7 @@ class TestPlanner:
             And(rel("R1", "x", "y"), lift(sh.equals("x", "y"))),
             AB,
         )
-        assert q.evaluate(db(), length=3, engine="planner") == {
+        assert q.evaluate(db(), length=3, engine="auto") == {
             ("ab", "ab"),
             ("b", "b"),
         }
@@ -103,13 +128,19 @@ class TestPlanner:
         expected = evaluate_naive(
             formula, ("x",), db(), tuple(AB.strings(2))
         )
-        assert q.evaluate(db(), length=2, engine="planner") == expected
+        assert q.evaluate(db(), length=2, engine="auto") == expected
 
     def test_query_planner_rejects_unsupported(self):
-        from repro.errors import EvaluationError
-
         # A negated quantifier is not a literal, so the plan degrades
-        # to a naive fallback and the planner strategy refuses it.
+        # to a naive root: auto records the rejection and answers with
+        # the reference semantics.
         q = Query(("x",), Not(exists("y", rel("R1", "x", "y"))), AB)
-        with pytest.raises(EvaluationError):
-            q.evaluate(db(), length=2, engine="planner")
+        session = QueryEngine(tracer=Tracer())
+        expected = evaluate_naive(
+            q.formula, q.head, db(), tuple(AB.strings(2))
+        )
+        assert session.evaluate(q, db(), length=2) == expected
+        assert session.stats.rejects == {REASON_UNSUPPORTED_LITERAL: 1}
+        assert session.tracer.counters[
+            f"plan.reject.{REASON_UNSUPPORTED_LITERAL}"
+        ] == 1

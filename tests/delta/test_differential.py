@@ -20,7 +20,7 @@ from repro.delta import Delta
 from repro.engine import QueryEngine
 from tests.storage.test_differential import GENERATORS
 
-ENGINES = ("naive", "planner", "algebra", "auto")
+ENGINES = ("naive", "algebra", "auto")
 WORKER_COUNTS = (1, 2, 4)
 
 #: Matrix columns ``(kernels, workers)``: ``auto`` lets each machine
@@ -64,7 +64,7 @@ def _to_delta(db, op):
 
 def _check(warm, oracle, db, engines, **evaluate_kwargs):
     for qname, query in QUERIES:
-        expected = oracle.evaluate(query, db, length=CAP, engine="planner")
+        expected = oracle.evaluate(query, db, length=CAP, engine="auto")
         maintained = warm.evaluate(query, db, length=CAP, materialize=True)
         assert maintained == expected, (
             f"{qname}: materialized answer diverged from from-scratch"
@@ -116,7 +116,7 @@ def test_interleavings_agree_on_every_workload_generator(
     for op in ops:
         delta = _to_delta(db, op)
         db = warm.apply_delta(db, delta)
-        _check(warm, oracle, db, engines=("planner",))
+        _check(warm, oracle, db, engines=("auto",))
     _check(warm, oracle, db, engines=ENGINES)
 
 

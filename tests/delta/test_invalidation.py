@@ -59,8 +59,8 @@ class TestSessionInvalidation:
     def test_update_evicts_dependent_but_not_pure_entries(self):
         db = example_database(AB, seed=5, size=4, max_length=2)
         session = QueryEngine(tracer=Tracer())
-        session.evaluate(_join_query(), db, length=2, engine="planner")
-        session.evaluate(_single_query(), db, length=2, engine="planner")
+        session.evaluate(_join_query(), db, length=2, engine="auto")
+        session.evaluate(_single_query(), db, length=2, engine="auto")
         compile_misses = session.trace_report().caches["compile"]["misses"]
         db2 = session.apply_delta(
             db, Delta.of(inserts={"R1": [("b", "bb")]})
@@ -72,8 +72,8 @@ class TestSessionInvalidation:
         # ... while the pure machine cache was never touched: replaying
         # both queries against the new version compiles nothing new.
         assert caches["compile"].get("invalidated", 0) == 0
-        session.evaluate(_join_query(), db2, length=2, engine="planner")
-        session.evaluate(_single_query(), db2, length=2, engine="planner")
+        session.evaluate(_join_query(), db2, length=2, engine="auto")
+        session.evaluate(_single_query(), db2, length=2, engine="auto")
         assert (
             session.trace_report().caches["compile"]["misses"]
             == compile_misses
@@ -82,7 +82,7 @@ class TestSessionInvalidation:
     def test_invalidation_counters_reach_the_tracer(self):
         db = example_database(AB, seed=5, size=4, max_length=2)
         session = QueryEngine(tracer=Tracer())
-        session.evaluate(_join_query(), db, length=2, engine="planner")
+        session.evaluate(_join_query(), db, length=2, engine="auto")
         session.apply_delta(db, Delta.of(inserts={"R1": [("b", "bb")]}))
         counters = session.tracer.counters
         assert counters.get("delta.applied") == 1
@@ -94,11 +94,11 @@ class TestSessionInvalidation:
         db = example_database(AB, seed=7, size=4, max_length=2)
         session = QueryEngine()
         query = _join_query()
-        session.evaluate(query, db, length=2, engine="planner")
+        session.evaluate(query, db, length=2, engine="auto")
         db2 = session.apply_delta(
             db, Delta.of(inserts={"R1": [("a", "ab")]})
         )
-        warm = session.evaluate(query, db2, length=2, engine="planner")
-        fresh = QueryEngine().evaluate(query, db2, length=2, engine="planner")
+        warm = session.evaluate(query, db2, length=2, engine="auto")
+        fresh = QueryEngine().evaluate(query, db2, length=2, engine="auto")
         assert warm == fresh
         assert ("a", "ab") in warm

@@ -26,7 +26,7 @@ def _union_query():
 
 
 def _oracle(query, db, cap):
-    return QueryEngine().evaluate(query, db, length=cap, engine="planner")
+    return QueryEngine().evaluate(query, db, length=cap, engine="auto")
 
 
 class TestMaterializedLookup:

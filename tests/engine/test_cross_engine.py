@@ -2,17 +2,20 @@
 
 Every registered strategy implements the same truncation semantics
 ``⟦φ⟧^l_db``, so on any database and any bound covering the stored
-strings the naive, planner, algebra and auto engines must return
-identical answers — and a warm (cached) session must agree with a
-cold one.
+strings the naive, algebra and auto engines must return identical
+answers — and a warm (cached) session must agree with a cold one.
+Below the stored strings' lengths ``auto`` must still agree with
+``naive`` at every worker count and with ``materialize=True``.
 """
 
 import pytest
 
 from repro.core import shorthands as sh
 from repro.core.alphabet import AB, Alphabet
+from repro.core.database import Database
 from repro.core.query import Query
 from repro.core.syntax import And, exists, lift, rel
+from repro.delta import Delta
 from repro.engine import QueryEngine
 from repro.workloads.generators import (
     example_database,
@@ -90,31 +93,94 @@ CASES = [
 
 @pytest.mark.parametrize("db,query", CASES)
 def test_all_engines_agree(db, query):
-    # A bound covering every stored string makes the planner's cap
-    # semantics coincide with naive truncation semantics; all engines
-    # then compute the same ⟦φ⟧^l_db.
+    # A bound covering every stored string makes the algebra's
+    # truncation of Σ* alone coincide with the truncation semantics;
+    # all engines then compute the same ⟦φ⟧^l_db.
     bound = db.max_string_length() + 1
     session = QueryEngine()
     answers = {
         name: session.evaluate(query, db, length=bound, engine=name)
-        for name in ("naive", "planner", "algebra", "auto")
+        for name in ("naive", "algebra", "auto")
     }
-    assert (
-        answers["naive"]
-        == answers["planner"]
-        == answers["algebra"]
-        == answers["auto"]
-    )
+    assert answers["naive"] == answers["algebra"] == answers["auto"]
 
 
 @pytest.mark.parametrize("db,query", CASES)
 def test_cached_run_matches_cold(db, query):
     bound = db.max_string_length() + 1
     warm = QueryEngine()
-    first = warm.evaluate(query, db, length=bound, engine="planner")
-    second = warm.evaluate(query, db, length=bound, engine="planner")
-    cold = QueryEngine().evaluate(query, db, length=bound, engine="planner")
+    first = warm.evaluate(query, db, length=bound, engine="auto")
+    second = warm.evaluate(query, db, length=bound, engine="auto")
+    cold = QueryEngine().evaluate(query, db, length=bound, engine="auto")
     assert first == second == cold
+
+
+# -- bounds shorter than the stored strings ------------------------------
+#
+# Every relation is truncated too: a variable ranges over Σ^{≤l} only,
+# so a stored string longer than l (or over other symbols) never binds.
+# The algebra engine is left out on purpose: Section 4's db(E↓l)
+# truncates only Σ*, not the relations, so below the stored strings'
+# lengths it computes a different set by design.
+
+
+def _routes_agree_with_naive(query, db, length):
+    want = QueryEngine().evaluate(query, db, length=length, engine="naive")
+    for workers in (1, 2):
+        session = QueryEngine()
+        got = session.evaluate(query, db, length=length, workers=workers)
+        assert got == want, f"auto workers={workers}"
+        materialized = session.evaluate(
+            query, db, length=length, workers=workers, materialize=True
+        )
+        assert materialized == want, f"materialized workers={workers}"
+    return want
+
+
+@pytest.mark.parametrize("db,query", CASES)
+def test_short_bound_matches_naive(db, query, pooled):
+    _routes_agree_with_naive(query, db, db.max_string_length() - 1)
+
+
+def _prefix_query():
+    return Query(
+        ("x", "y"),
+        And(rel("R1", "x", "y"), lift(sh.prefix_of("x", "y"))),
+        AB,
+    )
+
+
+def test_short_bound_skips_long_rows_at_every_worker_count():
+    # Σ^{≤5} holds "ab" but not "abababa": only (a, ab) is an answer.
+    db = Database(AB, {"R1": [("ab", "abababa"), ("a", "ab")]})
+    got = _routes_agree_with_naive(_prefix_query(), db, 5)
+    assert got == {("a", "ab")}
+
+
+def test_foreign_symbols_never_bind():
+    # "ab" is no string over {c, d}, whatever the bound.
+    db = Database(AB, {"R": [("ab",)]})
+    query = Query(("x",), rel("R", "x"), Alphabet("cd"))
+    session = QueryEngine()
+    assert session.certified_length(query, db) == 2
+    assert session.evaluate(query, db) == frozenset()
+    assert session.evaluate(query, db, length=2) == frozenset()
+
+
+@pytest.mark.parametrize(
+    "row", [("ab", "abab"), ("a", "ac")], ids=["too-long", "foreign"]
+)
+def test_materialized_answer_drops_rows_inserted_outside_the_domain(row):
+    db = Database(Alphabet("abc"), {"R1": [("a", "ab")]})
+    query = _prefix_query()
+    session = QueryEngine()
+    assert session.evaluate(query, db, length=3, materialize=True) == {
+        ("a", "ab")
+    }
+    updated = session.apply_delta(db, Delta.of(inserts={"R1": [row]}))
+    want = QueryEngine().evaluate(query, updated, length=3, engine="naive")
+    assert want == {("a", "ab")}
+    assert session.evaluate(query, updated, length=3, materialize=True) == want
 
 
 def test_auto_without_length_matches_naive_at_certified_bound():

@@ -3,11 +3,12 @@
 The machine picks its acceptance kernel (the determinized scan inside
 the Theorem 5.2 fragment, the v1 worklist kernel otherwise), and that
 choice must never show in answers: for every workload generator, every
-registered engine and every worker count, the evaluated answer sets
-must be byte-identical (compared as sorted tuple lists) to the naive
-reference.  A forced-v1 column (the ``forced_v1`` fixture makes the
-determinizer decline in-process) runs the same matrix with every
-machine on the worklist kernel.  The file also checks that the machine
+registered engine (and the plan and pooled routes of ``auto``) and
+every worker count, the evaluated answer sets must be byte-identical
+(compared as sorted tuple lists) to the naive reference.  A forced-v1
+column (the ``forced_v1`` fixture makes the determinizer decline
+in-process) runs the same matrix with every machine on the worklist
+kernel.  The file also checks that the machine
 picks the session's kernel, that the fixture reaches machines that
 already carry a scan kernel, and the pickling contract: scan tables
 survive the ``SimulateShardTask`` worker round trip.
@@ -19,11 +20,12 @@ from repro.core import shorthands as sh
 from repro.core.alphabet import AB, Alphabet
 from repro.core.query import Query
 from repro.core.syntax import And, Not, Var, exists, lift, rel
-from repro.engine import ParallelEngine, QueryEngine
+from repro.engine import QueryEngine
 from repro.fsa.compile import compile_string_formula
 from repro.fsa.determinize import DeterministicKernel
 from repro.fsa.kernel import CompiledKernel, kernel_for
 from repro.fsa.simulate import reference_accepts
+from repro.ir.execute import execute_plan
 from repro.parallel import ParallelExecutor
 from repro.parallel.generation import filter_accepted
 from repro.workloads.generators import (
@@ -46,10 +48,14 @@ WORKER_COUNTS = (1, 2, 4)
 #: at one worker.
 COLUMNS = [("auto", workers) for workers in WORKER_COUNTS] + [("v1", 1)]
 
-#: Every registered engine; ``parallel`` is driven via a configured
-#: :class:`~repro.engine.ParallelEngine` so tiny workloads still cross
-#: real process boundaries.
-ENGINES = ("naive", "planner", "algebra", "parallel", "auto")
+#: Every registered engine.
+ENGINES = ("naive", "algebra", "auto")
+
+#: Matrix rows: the engines plus two routes of ``auto``.  ``planner``
+#: executes the session's plan directly (the executor every ``auto``
+#: branch runs); ``parallel`` runs ``auto`` under the ``pooled``
+#: fixture, so tiny workloads still cross real process boundaries.
+ROUTES = ENGINES + ("planner", "parallel")
 
 
 def _databases():
@@ -147,37 +153,36 @@ def _reference(dbname, qname, query, db, bound):
 @pytest.mark.parametrize(
     "kernels,workers", COLUMNS, ids=[f"{k}-{w}" for k, w in COLUMNS]
 )
-@pytest.mark.parametrize("engine_name", ENGINES)
+@pytest.mark.parametrize("route", ROUTES)
 @pytest.mark.parametrize("dbname,db", DB_PARAMS)
-def test_conformance_matrix(
-    dbname, db, engine_name, kernels, workers, request
-):
-    """generator × engine × workers (+ forced v1): identical answers."""
+def test_conformance_matrix(dbname, db, route, kernels, workers, request):
+    """generator × route × workers (+ forced v1): identical answers."""
     if kernels == "v1":
         request.getfixturevalue("forced_v1")
         session = QueryEngine()
     else:
         session = _SESSION
-    engine = (
-        ParallelEngine(workers=workers, shards=3, min_parallel_items=1)
-        if engine_name == "parallel"
-        else engine_name
-    )
+    if route == "parallel":
+        request.getfixturevalue("pooled")
     bound = db.max_string_length() + 1
     for qname, query in _queries(db.alphabet):
         reference = _reference(dbname, qname, query, db, bound)
-        got = sorted(
-            session.evaluate(
+        if route == "planner":
+            plan = session.query_plan(query, db, bound)
+            answers = execute_plan(
+                plan, db, query.alphabet, bound, session=session
+            )
+        else:
+            answers = session.evaluate(
                 query,
                 db,
                 length=bound,
-                engine=engine,
+                engine="auto" if route == "parallel" else route,
                 workers=workers,
                 shards=3,
             )
-        )
-        assert got == reference, (
-            f"{dbname}/{qname}: engine={engine_name} kernels={kernels} "
+        assert sorted(answers) == reference, (
+            f"{dbname}/{qname}: route={route} kernels={kernels} "
             f"workers={workers} diverges from the naive reference"
         )
 

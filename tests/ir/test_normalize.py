@@ -1,6 +1,6 @@
 """Unit tests for the calculus normalization passes."""
 
-from repro.core.alphabet import AB
+from repro.core.alphabet import AB, Alphabet
 from repro.core.database import Database
 from repro.core import shorthands as sh
 from repro.core.syntax import (
@@ -16,6 +16,7 @@ from repro.ir import CostModel, build_query_plan, simplify, split_disjuncts
 from repro.ir.normalize import MAX_BRANCHES, hoist_prefix
 from repro.ir.plan import (
     REASON_BRANCH_LIMIT,
+    REASON_DATA_OUTSIDE_DOMAIN,
     REASON_UNBOUND_NEGATION,
     REASON_UNSUPPORTED_LITERAL,
     ConjunctivePlan,
@@ -186,6 +187,26 @@ class TestBuildQueryPlan:
             )
         plan = build_query_plan(formula, ("x",), model())
         assert plan.fallback_reason == REASON_BRANCH_LIMIT
+
+    def test_data_longer_than_the_cap_reason(self):
+        # R1 and R2 hold two-character strings, outside Σ^{≤1}.
+        formula = And(rel("R2", "x"), lift(sh.constant("x", "b")))
+        plan = build_query_plan(formula, ("x",), model(cap=1))
+        assert plan.fallback_reason == REASON_DATA_OUTSIDE_DOMAIN
+        assert build_query_plan(formula, ("x",), model(cap=2)).branches()
+        # Relations the formula does not name never matter.
+        empty = build_query_plan(rel("Empty", "x"), ("x",), model(cap=1))
+        assert empty.fallback_reason is None
+
+    def test_foreign_symbols_reason(self):
+        wide = Database(Alphabet("abc"), {"R": [("ac",)], "S": [("ab",)]})
+        narrow = CostModel.for_database(wide, AB, 3)
+        assert narrow.foreign == ("R",)
+        plan = build_query_plan(rel("R", "x"), ("x",), narrow)
+        assert plan.fallback_reason == REASON_DATA_OUTSIDE_DOMAIN
+        assert build_query_plan(rel("S", "x"), ("x",), narrow).branches()
+        # A database alphabet inside the query alphabet skips the scan.
+        assert model().foreign == ()
 
     def test_simplified_form_always_available(self):
         formula = Not(Not(exists("z", rel("R2", "x"))))

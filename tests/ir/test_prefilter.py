@@ -74,7 +74,9 @@ def test_required_factors_empty_when_empty_string_accepted():
 
 
 def _plan(formula, head=("y",)):
-    model = CostModel.for_database(_db(), DNA, 4)
+    # The cap covers the six-character rows: a shorter one leaves them
+    # outside Σ^{≤cap}, and the plan degrades to a naive root.
+    model = CostModel.for_database(_db(), DNA, 6)
     return build_query_plan(formula, head, model), model
 
 
@@ -132,7 +134,7 @@ def test_prefiltered_plans_execute_identically():
     )
     tracer = Tracer()
     session = QueryEngine(tracer=tracer)
-    got = session.evaluate(query, db, length=6, engine="planner")
+    got = session.evaluate(query, db, length=6, engine="auto")
     assert got == frozenset({("gcgcgc",)})
     assert tracer.counters.get("index.probe", 0) >= 1
     assert tracer.counters.get("index.pruned", 0) >= 2

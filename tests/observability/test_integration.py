@@ -15,7 +15,7 @@ from repro.core.alphabet import AB
 from repro.core.query import Query
 from repro.core.syntax import And, exists, lift, rel
 from repro.delta import Delta
-from repro.engine import ParallelEngine, QueryEngine
+from repro.engine import QueryEngine
 from repro.observability import STAGES, Tracer
 from repro.workloads.generators import example_database
 
@@ -47,14 +47,15 @@ def _concat_query():
     )
 
 
-def _pooled_engine(workers=2):
-    return ParallelEngine(workers=workers, shards=4, min_parallel_items=1)
+def _pooled(workers=2):
+    """``evaluate`` keywords for a pooled run (with the ``pooled`` fixture)."""
+    return {"workers": workers, "shards": 4}
 
 
 class TestStageCoverage:
-    def test_one_session_fills_all_ten_stages(self, db):
+    def test_one_session_fills_all_ten_stages(self, db, pooled):
         session = QueryEngine(tracer=Tracer())
-        session.evaluate(_concat_query(), db, engine=_pooled_engine())
+        session.evaluate(_concat_query(), db, **_pooled())
         session.evaluate(_prefix_query(), db, engine="algebra", length=3)
         session.apply_delta(db, Delta.of(inserts={"R1": [("a", "b")]}))
         report = session.trace_report()
@@ -66,9 +67,11 @@ class TestStageCoverage:
         assert not empty, f"stages without spans: {empty}"
         assert report.enabled
 
-    def test_metrics_document_covers_all_ten_stages(self, db, tmp_path):
+    def test_metrics_document_covers_all_ten_stages(
+        self, db, tmp_path, pooled
+    ):
         session = QueryEngine(tracer=Tracer())
-        session.evaluate(_concat_query(), db, engine=_pooled_engine())
+        session.evaluate(_concat_query(), db, **_pooled())
         session.evaluate(_prefix_query(), db, engine="algebra", length=3)
         session.apply_delta(db, Delta.of(inserts={"R1": [("a", "b")]}))
         path = tmp_path / "metrics.json"
@@ -82,11 +85,10 @@ class TestStageCoverage:
 
 
 class TestWorkerFoldBack:
-    def test_pool_spans_come_back_worker_tagged(self, db):
+    def test_pool_spans_come_back_worker_tagged(self, db, pooled):
         session = QueryEngine(tracer=Tracer())
-        engine = _pooled_engine(workers=2)
-        session.evaluate(_concat_query(), db, engine=engine)
-        assert engine.last_report.mode == "parallel"
+        session.evaluate(_concat_query(), db, **_pooled(workers=2))
+        assert session.stats.snapshot()["parallel"]["pooled_runs"] == 1
         workers = {
             record.worker
             for record in session.tracer.records()
@@ -95,9 +97,9 @@ class TestWorkerFoldBack:
         assert workers, "no worker-tagged spans folded back"
         assert os.getpid() not in workers
 
-    def test_absorbed_worker_spans_nest_under_the_run(self, db):
+    def test_absorbed_worker_spans_nest_under_the_run(self, db, pooled):
         session = QueryEngine(tracer=Tracer())
-        session.evaluate(_concat_query(), db, engine=_pooled_engine())
+        session.evaluate(_concat_query(), db, **_pooled())
         records = session.tracer.records()
         by_id = {record.span_id: record for record in records}
         worker_roots = [
@@ -114,27 +116,29 @@ class TestWorkerFoldBack:
             )
             assert by_id[record.parent_id].name == "executor.run"
 
-    def test_counters_aggregate_identically_across_pool_sizes(self, db):
+    def test_counters_aggregate_identically_across_pool_sizes(
+        self, db, pooled
+    ):
         query = _concat_query()
         sequential = QueryEngine(tracer=Tracer())
-        sequential.evaluate(query, db, engine=_pooled_engine(workers=1))
-        pooled = QueryEngine(tracer=Tracer())
-        pooled.evaluate(query, db, engine=_pooled_engine(workers=2))
+        sequential.evaluate(query, db, **_pooled(workers=1))
+        pool = QueryEngine(tracer=Tracer())
+        pool.evaluate(query, db, **_pooled(workers=2))
         name = "generate.machine_runs"
         assert sequential.tracer.counters.get(name, 0) > 0
         assert (
-            pooled.tracer.counters.get(name, 0)
+            pool.tracer.counters.get(name, 0)
             == sequential.tracer.counters[name]
         )
 
 
 class TestTracingIsInert:
-    def test_traced_and_untraced_answers_are_identical(self, db):
+    def test_traced_and_untraced_answers_are_identical(self, db, pooled):
         # the naive engine needs an explicit truncation bound: the
         # certified limit of the concat query is too loose to enumerate
         for kwargs_factory in (
-            lambda: {"engine": _pooled_engine(workers=2)},
-            lambda: {"engine": "planner"},
+            lambda: _pooled(workers=2),
+            lambda: {"engine": "auto", "workers": 1},
             lambda: {"engine": "naive", "length": 3},
         ):
             untraced = QueryEngine().evaluate(
@@ -156,7 +160,7 @@ class TestTracingIsInert:
 
     def test_untraced_session_reports_disabled_but_stable_schema(self, db):
         session = QueryEngine()
-        session.evaluate(_prefix_query(), db, engine="planner")
+        session.evaluate(_prefix_query(), db, engine="auto")
         report = session.trace_report()
         assert report.enabled is False
         assert tuple(report.to_dict()["stages"]) == STAGES

@@ -1,19 +1,19 @@
-"""Differential harness: parallel evaluation vs the sequential engines.
+"""Differential harness: pooled evaluation vs the sequential engines.
 
 The parallel layer's contract is exact answer equality: for every
 workload generator, every worker count and every shard count, the
-sharded evaluation must return the same answer set — compared as
-sorted tuples — as the ``naive``, ``planner`` and ``algebra`` engines.
-Both parallel regimes are exercised:
+sharded ``auto`` evaluation must return the same answer set — compared
+as sorted tuples — as the ``naive`` and ``algebra`` engines and
+in-process ``auto``.  Both parallel regimes are exercised:
 
-* planner-shaped queries (explicit ``length``) shard their generator
+* plan-shaped queries (explicit ``length``) shard their generator
   runs;
 * explicit-``domain`` evaluations shard the naive candidate space
   ``domain^k`` by mixed-radix index ranges.
 
-``min_parallel_items=1`` forces real pool dispatch even for the tiny
-test workloads, so worker counts above one genuinely cross process
-boundaries.
+The ``pooled`` fixture sends every branch and candidate space to the
+pool even for the tiny test workloads, so worker counts above one
+genuinely cross process boundaries.
 """
 
 import pytest
@@ -22,7 +22,7 @@ from repro.core import shorthands as sh
 from repro.core.alphabet import AB, Alphabet
 from repro.core.query import Query
 from repro.core.syntax import And, Not, exists, lift, rel
-from repro.engine import ParallelEngine, QueryEngine
+from repro.engine import QueryEngine
 from repro.workloads.generators import (
     copy_language_strings,
     example_database,
@@ -38,8 +38,9 @@ DNA = Alphabet("acgt")
 WORKER_COUNTS = (1, 2, 4)
 SHARD_COUNTS = (1, 3, 7)
 
-#: Sequential reference engines the parallel answers are compared to.
-REFERENCE_ENGINES = ("naive", "planner", "algebra")
+#: Sequential reference engines the parallel answers are compared to
+#: (``auto`` runs in-process at one worker).
+REFERENCE_ENGINES = ("naive", "auto", "algebra")
 
 
 def _databases():
@@ -123,43 +124,50 @@ def _references(dbname, qname, query, db, bound):
     if key not in _REFERENCES:
         _REFERENCES[key] = {
             name: sorted(
-                _SESSION.evaluate(query, db, length=bound, engine=name)
+                _SESSION.evaluate(
+                    query, db, length=bound, engine=name,
+                    workers=1 if name == "auto" else None,
+                )
             )
             for name in REFERENCE_ENGINES
         }
     return _REFERENCES[key]
 
 
-def _parallel_engine(workers, shards):
-    return ParallelEngine(
-        workers=workers, shards=shards, min_parallel_items=1
-    )
+def _parallel_totals(session):
+    return dict(session.stats.snapshot()["parallel"])
 
 
 @pytest.mark.parametrize("shards", SHARD_COUNTS)
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
 @pytest.mark.parametrize("dbname,db", DB_PARAMS)
-def test_parallel_matches_every_sequential_engine(dbname, db, workers, shards):
+def test_parallel_matches_every_sequential_engine(
+    dbname, db, workers, shards, pooled
+):
     bound = db.max_string_length() + 1
-    for qname, query in _queries(db.alphabet):
+    before = _parallel_totals(_SESSION)
+    queries = list(_queries(db.alphabet))
+    for qname, query in queries:
         refs = _references(dbname, qname, query, db, bound)
-        engine = _parallel_engine(workers, shards)
         got = sorted(
-            _SESSION.evaluate(query, db, length=bound, engine=engine)
+            _SESSION.evaluate(
+                query, db, length=bound, workers=workers, shards=shards
+            )
         )
         for name in REFERENCE_ENGINES:
             assert got == refs[name], (
-                f"{dbname}/{qname}: parallel(workers={workers}, "
+                f"{dbname}/{qname}: auto(workers={workers}, "
                 f"shards={shards}) disagrees with {name}"
             )
-        report = engine.last_report
-        assert report is not None
-        assert report.shards_completed == report.shards_planned
+    after = _parallel_totals(_SESSION)
+    pooled_runs = after.get("runs", 0) - before.get("runs", 0)
+    assert pooled_runs == (len(queries) if workers > 1 else 0)
+    assert after.get("shards_completed") == after.get("shards_planned")
 
 
 @pytest.mark.parametrize("shards", SHARD_COUNTS)
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
-def test_parallel_naive_shard_path_matches_reference(workers, shards):
+def test_parallel_naive_shard_path_matches_reference(workers, shards, pooled):
     """Explicit domains force candidate-space sharding; answers must
     still match the naive reference over the same domain."""
     _, db = DATABASES[0]
@@ -167,25 +175,29 @@ def test_parallel_naive_shard_path_matches_reference(workers, shards):
     domain = _SESSION.domain_for(AB, bound)
     for qname, query in _queries(AB):
         if qname in ("join", "generate-concat"):
-            continue  # ∃-quantified heads need the planner path
+            continue  # ∃-quantified heads need the plan route
         reference = sorted(
             _SESSION.evaluate(query, db, domain=domain, engine="naive")
         )
-        engine = _parallel_engine(workers, shards)
+        session = QueryEngine()
         got = sorted(
-            _SESSION.evaluate(query, db, domain=domain, engine=engine)
+            session.evaluate(
+                query, db, domain=domain, workers=workers, shards=shards
+            )
         )
         assert got == reference, (
-            f"{qname}: naive-shard parallel(workers={workers}, "
+            f"{qname}: naive-shard auto(workers={workers}, "
             f"shards={shards}) disagrees with naive"
         )
-        report = engine.last_report
-        assert report is not None
-        assert report.shards_planned >= 1
-        assert report.mode == ("parallel" if workers > 1 else "sequential")
+        report = _parallel_totals(session)
+        if workers == 1:
+            assert report == {}, "one worker must not build a pool"
+        else:
+            assert report["pooled_runs"] == 1
+            assert report["shards_planned"] == shards
 
 
-def test_cold_parallel_session_matches_warm():
+def test_cold_parallel_session_matches_warm(pooled):
     """A fresh session (empty caches) agrees with the warmed-up module
     session — sharding must not depend on cache state."""
     dbname, db = DATABASES[1]
@@ -194,16 +206,14 @@ def test_cold_parallel_session_matches_warm():
         refs = _references(dbname, qname, query, db, bound)
         cold = QueryEngine()
         got = sorted(
-            cold.evaluate(
-                query, db, length=bound, engine=_parallel_engine(2, 3)
-            )
+            cold.evaluate(query, db, length=bound, workers=2, shards=3)
         )
         assert got == refs["naive"], f"{qname}: cold session disagrees"
 
 
-def test_parallel_certified_bound_matches_auto():
-    """With no explicit truncation, parallel derives the certified
-    bound and must agree with the sequential auto engine."""
+def test_parallel_certified_bound_matches_auto(pooled):
+    """With no explicit truncation, pooled auto derives the certified
+    bound and must agree with in-process auto."""
     _, db = DATABASES[0]
     for qname, query in _queries(AB):
         if qname == "negated-filter":
@@ -211,9 +221,7 @@ def test_parallel_certified_bound_matches_auto():
         sequential = sorted(
             _SESSION.evaluate(query, db, engine="auto", workers=1)
         )
-        got = sorted(
-            _SESSION.evaluate(query, db, engine=_parallel_engine(2, 3))
-        )
+        got = sorted(_SESSION.evaluate(query, db, workers=2, shards=3))
         assert got == sequential, f"{qname}: certified-bound disagreement"
 
 
@@ -238,8 +246,8 @@ def test_algebra_engine_with_workers_matches_sequential(workers):
 
 @pytest.mark.parametrize("workers", (2, 4))
 def test_auto_with_workers_matches_sequential_auto(workers):
-    """auto folds into the parallel engine above the size threshold;
-    the fold must be invisible in the answer set."""
+    """auto pools branches above the size threshold; the pool must be
+    invisible in the answer set."""
     dbname, db = DATABASES[0]
     bound = db.max_string_length() + 1
     for qname, query in _queries(db.alphabet):

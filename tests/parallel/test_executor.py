@@ -12,7 +12,7 @@ from repro.core import shorthands as sh
 from repro.core.alphabet import AB
 from repro.core.query import Query
 from repro.core.syntax import And, exists, lift, rel
-from repro.engine import ParallelEngine, QueryEngine
+from repro.engine import QueryEngine
 from repro.engine import strategies
 from repro.parallel import (
     NaiveShardTask,
@@ -37,6 +37,16 @@ def _prefix_query():
     )
 
 
+def _naive_tasks(executor, db):
+    """The prefix query's ``Σ^{<=2}`` candidates, sharded by ``executor``."""
+    query = _prefix_query()
+    domain = tuple(AB.strings(2))
+    return [
+        NaiveShardTask(shard, query.formula, query.head, db, domain)
+        for shard in executor.plan(len(domain) ** len(query.head))
+    ]
+
+
 def _concat_query():
     return Query(
         ("x",),
@@ -59,29 +69,23 @@ class TestExecutorPolicy:
         assert executor.report.shards_completed == 0
 
     def test_single_worker_runs_sequentially(self, db):
-        session = QueryEngine()
-        engine = ParallelEngine(workers=1, shards=4, min_parallel_items=1)
-        session.evaluate(
-            _prefix_query(), db, domain=session.domain_for(AB, 2),
-            engine=engine,
+        executor = ParallelExecutor(
+            workers=1, planner=ShardPlanner(4), min_parallel_items=1
         )
-        assert engine.last_report.mode == "sequential"
-        assert engine.last_report.workers == 1
+        executor.run(_naive_tasks(executor, db))
+        assert executor.report.mode == "sequential"
+        assert executor.report.workers == 1
 
     def test_tiny_input_falls_back_to_sequential(self, db):
         """Below min_parallel_items the pool is never touched, even
         with many workers configured."""
-        session = QueryEngine()
-        engine = ParallelEngine(
-            workers=4, shards=4, min_parallel_items=10_000
+        executor = ParallelExecutor(
+            workers=4, planner=ShardPlanner(4), min_parallel_items=10_000
         )
-        session.evaluate(
-            _prefix_query(), db, domain=session.domain_for(AB, 2),
-            engine=engine,
-        )
-        assert engine.last_report.mode == "sequential"
-        assert engine.last_report.shards_completed == (
-            engine.last_report.shards_planned
+        executor.run(_naive_tasks(executor, db))
+        assert executor.report.mode == "sequential"
+        assert executor.report.shards_completed == (
+            executor.report.shards_planned
         )
 
     def test_plan_respects_explicit_shard_count(self):
@@ -98,13 +102,11 @@ class TestExecutorPolicy:
 
 class TestExecutionReport:
     def test_report_counts_and_describe(self, db):
-        session = QueryEngine()
-        engine = ParallelEngine(workers=2, shards=3, min_parallel_items=1)
-        session.evaluate(
-            _prefix_query(), db, domain=session.domain_for(AB, 2),
-            engine=engine,
+        executor = ParallelExecutor(
+            workers=2, planner=ShardPlanner(3), min_parallel_items=1
         )
-        report = engine.last_report
+        executor.run(_naive_tasks(executor, db))
+        report = executor.report
         assert report.mode == "parallel"
         assert report.workers == 2
         assert report.shards_planned == 3
@@ -116,43 +118,44 @@ class TestExecutionReport:
         snapshot = report.snapshot()
         assert snapshot["shards_completed"] == 3
 
-    def test_session_stats_accumulate_reports(self, db):
+    def test_session_stats_accumulate_reports(self, db, pooled):
         session = QueryEngine()
-        engine = ParallelEngine(workers=2, shards=3, min_parallel_items=1)
         domain = session.domain_for(AB, 2)
-        session.evaluate(_prefix_query(), db, domain=domain, engine=engine)
-        session.evaluate(_prefix_query(), db, domain=domain, engine=engine)
+        for _ in range(2):
+            session.evaluate(
+                _prefix_query(), db, domain=domain, workers=2, shards=3
+            )
         totals = session.stats.snapshot()["parallel"]
         assert totals["runs"] == 2
         assert totals["pooled_runs"] == 2
         assert totals["shards_completed"] == 6
         assert "parallel runs=2" in session.stats.describe()
 
-    def test_worker_results_fold_back_into_session_cache(self, db):
+    def test_worker_results_fold_back_into_session_cache(self, db, pooled):
         """Second run of a generate-shaped query is served from the
         session cache: the report shows hits and no live shards."""
         session = QueryEngine()
         query = _concat_query()
         bound = db.max_string_length() + 1
 
-        first = ParallelEngine(workers=2, shards=3, min_parallel_items=1)
-        cold = session.evaluate(query, db, length=bound, engine=first)
-        assert first.last_report.cache_hits == 0
+        cold = session.evaluate(query, db, length=bound, workers=2, shards=3)
+        first = dict(session.stats.snapshot()["parallel"])
+        assert first["cache_hits"] == 0
 
-        second = ParallelEngine(workers=2, shards=3, min_parallel_items=1)
-        warm = session.evaluate(query, db, length=bound, engine=second)
+        warm = session.evaluate(query, db, length=bound, workers=2, shards=3)
+        second = session.stats.snapshot()["parallel"]
         assert warm == cold
-        assert second.last_report.cache_hits > 0
-        assert second.last_report.shards_planned == 0
+        assert second["cache_hits"] > 0
+        assert second["shards_planned"] == first["shards_planned"]
 
 
 class TestSessionIntegration:
-    def test_evaluate_many_with_workers_matches_individual(self, db):
+    def test_evaluate_many_with_workers_matches_individual(self, db, pooled):
         session = QueryEngine()
         queries = [_prefix_query(), _concat_query()]
         bound = db.max_string_length() + 1
         batch = session.evaluate_many(
-            queries, db, length=bound, engine="parallel", workers=2, shards=3
+            queries, db, length=bound, workers=2, shards=3
         )
         individual = [
             session.evaluate(q, db, length=bound, engine="naive")

@@ -3,9 +3,10 @@
 The acceptance criterion for the service layer: for every engine, the
 rows a client reads off the wire are exactly
 ``sorted(QueryEngine().evaluate(query, db, ...))`` — same strings,
-same order, same types after decoding.  The comparison goes through
-the JSON wire form on both sides, so any encoding drift (tuple/list,
-unicode, empty string) fails loudly.
+same order, same types after decoding.  The ``planner`` row holds the
+served ``auto`` engine to the session's plan executed directly.  The
+comparison goes through the JSON wire form on both sides, so any
+encoding drift (tuple/list, unicode, empty string) fails loudly.
 """
 
 import json
@@ -16,9 +17,12 @@ from repro.core.alphabet import AB
 from repro.core.parser import parse_formula
 from repro.core.query import Query
 from repro.engine import QueryEngine
+from repro.ir.execute import execute_plan
 from repro.service import ServiceClient, serve_in_thread
 from repro.service.protocol import rows_to_wire
 
+#: The served engines, plus ``planner``: served ``auto`` against the
+#: plan executed directly.
 ENGINES = ("naive", "planner", "algebra", "auto")
 
 #: ``(formula, head, length)`` — relational scans, joins, existential
@@ -65,7 +69,13 @@ def test_served_rows_match_direct_evaluation(
 ):
     db, client = served
     query = Query(tuple(head), parse_formula(formula), AB)
-    direct = QueryEngine().evaluate(query, db, length=length, engine=engine)
+    session = QueryEngine()
+    if engine == "planner":
+        plan = session.query_plan(query, db, length)
+        direct = execute_plan(plan, db, AB, length, session=session)
+        engine = "auto"
+    else:
+        direct = session.evaluate(query, db, length=length, engine=engine)
     remote = client.query(
         formula, list(head), length=length, engine=engine
     )

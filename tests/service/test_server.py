@@ -29,6 +29,7 @@ from repro.service import (
 )
 from repro.service.protocol import (
     ERR_DRAINING,
+    ERR_EVALUATION,
     ERR_FRAME_TOO_LARGE,
     ERR_MALFORMED,
     PROTOCOL_SCHEMA,
@@ -155,6 +156,29 @@ class TestProtocolAbuse:
         _, client = server
         with pytest.raises(ParseError):
             client.query("R2(x)", ["zzz"], length=3)
+        assert_alive(client)
+
+    def test_removed_engine_names_are_evaluation_errors(self, server):
+        handle, client = server
+        for name in ("planner", "parallel"):
+            frame = {
+                "id": name,
+                "op": "query",
+                "params": {
+                    "formula": "R2(x)",
+                    "head": ["x"],
+                    "length": 3,
+                    "engine": name,
+                },
+            }
+            (response,) = raw_exchange(
+                handle.address, json.dumps(frame).encode("utf-8") + b"\n"
+            )
+            assert response["ok"] is False
+            error = response["error"]
+            assert error["code"] == ERR_EVALUATION
+            assert f"unknown engine {name!r}" in error["message"]
+            assert "(available: algebra, auto, naive)" in error["message"]
         assert_alive(client)
 
     def test_evaluation_error_is_typed(self, server):

@@ -18,7 +18,7 @@ from repro.core.alphabet import AB, Alphabet
 from repro.core.database import Database
 from repro.core.query import Query
 from repro.core.syntax import And, Not, exists, f_or, lift, rel
-from repro.engine import ParallelEngine, QueryEngine
+from repro.engine import QueryEngine
 from repro.workloads.generators import (
     copy_language_strings,
     example_database,
@@ -29,7 +29,7 @@ from repro.workloads.generators import (
 )
 
 DNA = Alphabet("acgt")
-ENGINES = ("naive", "planner", "algebra", "auto")
+ENGINES = ("naive", "algebra", "auto")
 WORKER_COUNTS = (1, 2, 4)
 
 #: Matrix columns ``(kernels, workers)``: ``auto`` lets each machine
@@ -160,18 +160,21 @@ def test_compression_invisible_on_repetitive_relations(singles, pairs):
 @pytest.mark.parametrize(
     "kernels,workers", COLUMNS, ids=[f"{k}-{w}" for k, w in COLUMNS]
 )
-def test_workers_agree_over_compressed_storage(kernels, workers, request):
+def test_workers_agree_over_compressed_storage(
+    kernels, workers, request, pooled
+):
     """Shard workers re-intern pickled grammars and still agree."""
     if kernels == "v1":
         request.getfixturevalue("forced_v1")
     db = GENERATORS["example"](7)
     compressed = db.with_storage("slp")
     session = QueryEngine()
-    engine = ParallelEngine(workers=workers, shards=2, min_parallel_items=1)
     for name, query in _queries(db.alphabet):
         want = session.evaluate(query, db, length=2, engine="naive")
-        got = session.evaluate(query, compressed, length=2, engine=engine)
+        got = session.evaluate(
+            query, compressed, length=2, workers=workers, shards=2
+        )
         assert got == want, (
-            f"{name}: parallel(workers={workers}, kernels={kernels}) "
+            f"{name}: auto(workers={workers}, kernels={kernels}) "
             f"diverged over slp storage"
         )

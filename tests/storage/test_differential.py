@@ -27,7 +27,7 @@ from repro.workloads.generators import (
 )
 
 DNA = Alphabet("acgt")
-ENGINES = ("naive", "planner", "algebra", "auto")
+ENGINES = ("naive", "algebra", "auto")
 
 #: Every generator in workloads/generators.py, as a seeded factory —
 #: string lengths stay ≤ 2 so the cap-2 truncation domain covers the

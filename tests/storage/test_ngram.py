@@ -155,9 +155,9 @@ def test_artifact_backed_storage_pickles_by_path(tmp_path):
     assert clone.candidates(0, "gcg") == in_memory.candidates(0, "gcg")
 
 
-def test_parallel_workers_share_one_artifact(tmp_path):
+def test_parallel_workers_share_one_artifact(tmp_path, pooled):
     """A database over artifact-backed storage crosses the process
-    boundary as paths; the parallel engine's answers stay identical."""
+    boundary as paths; pooled answers stay identical."""
     from repro.core.query import Query
     from repro.core.syntax import rel
     from repro.engine import QueryEngine
@@ -180,7 +180,5 @@ def test_parallel_workers_share_one_artifact(tmp_path):
     session = QueryEngine()
     expected = session.evaluate(query, plain, length=6)
     for db in (indexed, worker_view):
-        got = session.evaluate(
-            query, db, length=6, engine="parallel", workers=2
-        )
+        got = session.evaluate(query, db, length=6, workers=2)
         assert got == expected

@@ -94,7 +94,7 @@ class TestQuery:
         lines = capsys.readouterr().out.split()
         assert "abab" in lines and "bb" in lines
 
-    def test_parallel_workers_and_stats(self, capsys, db_file):
+    def test_parallel_workers_and_stats(self, capsys, db_file, pooled):
         sequential = main(
             [
                 "query",
@@ -124,7 +124,7 @@ class TestQuery:
                 "--length",
                 "3",
                 "--engine",
-                "parallel",
+                "auto",
                 "--workers",
                 "2",
                 "--shards",
@@ -139,7 +139,7 @@ class TestQuery:
         assert "parallel runs=1" in captured.err
 
     def test_explicit_engine_choice(self, capsys, db_file):
-        for engine in ("naive", "planner", "algebra", "auto"):
+        for engine in ("naive", "algebra", "auto"):
             code = main(
                 [
                     "query",
@@ -262,7 +262,7 @@ class TestObservabilityFlags:
         code = self._run(
             db_file,
             "--engine",
-            "parallel",
+            "auto",
             "--workers",
             "2",
             "--shards",

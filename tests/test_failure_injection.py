@@ -135,10 +135,20 @@ class TestStructuralValidation:
                 parse_formula(garbage)
 
     def test_planner_rejects_unsupported_shapes_loudly(self):
+        """The plan degrades to a naive root; ``auto`` records the
+        rejection and returns the naive answer."""
+        from repro.engine import QueryEngine
+        from repro.observability import Tracer
+
         db = Database(AB, {"R": [("a",)]})
         q = Query(("x",), Not(Exists("y", rel("R", "y"))) & rel("R", "x"), AB)
-        with pytest.raises(EvaluationError):
-            q.evaluate(db, length=2, engine="planner")
+        session = QueryEngine(tracer=Tracer())
+        assert session.evaluate(q, db, length=2) == session.evaluate(
+            q, db, length=2, engine="naive"
+        )
+        counters = session.tracer.counters
+        assert counters["plan.reject.unsupported-literal"] == 2
+        assert session.stats.rejects == {"unsupported-literal": 2}
 
 
 class TestParallelFaultInjection:
@@ -148,11 +158,13 @@ class TestParallelFaultInjection:
     budget is exhausted — never a wrong answer or a raw traceback.
 
     The query is evaluated with an explicit ``domain`` so the naive
-    candidate space is sharded (planner-shaped evaluation would bind
+    candidate space is sharded (plan-shaped evaluation would bind
     every variable relationally and leave nothing to inject into).
-    Chaos policies key on shard generation: re-split children carry
-    ``generation + 1`` and execute cleanly, which is exactly the
-    transient-fault shape the retry loop is built for.
+    The ``pooled`` fixture hands the chaos policy and retry settings
+    to the executor ``auto`` builds.  Chaos policies key on shard
+    generation: re-split children carry ``generation + 1`` and execute
+    cleanly, which is exactly the transient-fault shape the retry loop
+    is built for.
     """
 
     @staticmethod
@@ -173,102 +185,108 @@ class TestParallelFaultInjection:
         return session, query, db, domain, reference
 
     @staticmethod
-    def _engine(**kwargs):
-        from repro.engine import ParallelEngine
+    def _report(session):
+        return session.stats.snapshot()["parallel"]
 
-        return ParallelEngine(workers=2, min_parallel_items=1, **kwargs)
-
-    def test_failing_shards_are_retried_to_the_correct_answer(self):
+    def test_failing_shards_are_retried_to_the_correct_answer(self, pooled):
         from repro.parallel import ChaosPolicy
 
         session, query, db, domain, reference = self._setup()
-        engine = self._engine(
-            shards=3, chaos=ChaosPolicy(fail_generations=(0,))
+        pooled["chaos"] = ChaosPolicy(fail_generations=(0,))
+        answers = session.evaluate(
+            query, db, domain=domain, workers=2, shards=3
         )
-        answers = session.evaluate(query, db, domain=domain, engine=engine)
         assert answers == reference
-        report = engine.last_report
-        assert report.retries == 3 and report.resplits == 3
-        assert report.failures >= 3
+        report = self._report(session)
+        assert report["retries"] == 3 and report["resplits"] == 3
+        assert report["failures"] >= 3
         # Every failed shard was re-split in two, so more shards
         # completed than were originally planned.
-        assert report.shards_completed > report.shards_planned
+        assert report["shards_completed"] > report["shards_planned"]
 
-    def test_hanging_shard_times_out_and_recovers(self):
+    def test_hanging_shard_times_out_and_recovers(self, pooled):
         from repro.parallel import ChaosPolicy
 
         session, query, db, domain, reference = self._setup()
-        engine = self._engine(
-            shards=2,
+        pooled.update(
             timeout=0.2,
             chaos=ChaosPolicy(
                 hang_generations=(0,), only_indices=(0,), hang_seconds=5.0
             ),
         )
-        answers = session.evaluate(query, db, domain=domain, engine=engine)
+        answers = session.evaluate(
+            query, db, domain=domain, workers=2, shards=2
+        )
         assert answers == reference
-        report = engine.last_report
-        assert report.timeouts >= 1
-        assert report.resplits >= 1
+        report = self._report(session)
+        assert report["timeouts"] >= 1
+        assert report["resplits"] >= 1
 
-    def test_worker_crash_breaks_pool_but_not_the_answer(self):
+    def test_worker_crash_breaks_pool_but_not_the_answer(self, pooled):
         from repro.parallel import ChaosPolicy
 
         session, query, db, domain, reference = self._setup()
-        engine = self._engine(
-            shards=3,
-            chaos=ChaosPolicy(crash_generations=(0,), only_indices=(0,)),
+        pooled["chaos"] = ChaosPolicy(
+            crash_generations=(0,), only_indices=(0,)
         )
-        answers = session.evaluate(query, db, domain=domain, engine=engine)
+        answers = session.evaluate(
+            query, db, domain=domain, workers=2, shards=3
+        )
         assert answers == reference
-        assert engine.last_report.resplits >= 1
+        assert self._report(session)["resplits"] >= 1
 
-    def test_exhausted_retries_raise_typed_error(self):
+    def test_exhausted_retries_raise_typed_error(self, pooled):
         from repro.errors import ParallelExecutionError
         from repro.parallel import ChaosPolicy
 
         session, query, db, domain, _ = self._setup()
-        engine = self._engine(
-            shards=2,
-            max_retries=1,
-            chaos=ChaosPolicy(fail_generations=(0, 1, 2, 3)),
+        pooled.update(
+            max_retries=1, chaos=ChaosPolicy(fail_generations=(0, 1, 2, 3))
         )
         with pytest.raises(ParallelExecutionError):
-            session.evaluate(query, db, domain=domain, engine=engine)
+            session.evaluate(query, db, domain=domain, workers=2, shards=2)
 
-    def test_exhausted_timeouts_raise_shard_timeout_error(self):
+    def test_exhausted_timeouts_raise_shard_timeout_error(self, pooled):
         from repro.errors import ParallelExecutionError, ShardTimeoutError
         from repro.parallel import ChaosPolicy
 
         session, query, db, domain, _ = self._setup()
-        engine = self._engine(
-            shards=1,
+        pooled.update(
             timeout=0.15,
             max_retries=0,
             chaos=ChaosPolicy(hang_generations=(0,), hang_seconds=5.0),
         )
         with pytest.raises(ShardTimeoutError):
-            session.evaluate(query, db, domain=domain, engine=engine)
+            session.evaluate(query, db, domain=domain, workers=2, shards=1)
         assert issubclass(ShardTimeoutError, ParallelExecutionError)
 
     def test_sequential_chaos_stays_in_process(self):
         """With one worker the chaos hooks degrade gracefully: a crash
         injection must not take down the test process, and the typed
         error still surfaces."""
-        from repro.engine import ParallelEngine
         from repro.errors import ParallelExecutionError
-        from repro.parallel import ChaosPolicy
+        from repro.parallel import (
+            ChaosPolicy,
+            NaiveShardTask,
+            ParallelExecutor,
+            ShardPlanner,
+        )
 
-        session, query, db, domain, _ = self._setup()
-        engine = ParallelEngine(
+        _, query, db, domain, _ = self._setup()
+        executor = ParallelExecutor(
             workers=1,
-            shards=2,
+            planner=ShardPlanner(2),
             min_parallel_items=1,
             max_retries=0,
             chaos=ChaosPolicy(crash_generations=(0,)),
         )
+        tasks = [
+            NaiveShardTask(shard, query.formula, query.head, db, domain)
+            for shard in executor.plan(len(domain) ** len(query.head))
+        ]
         with pytest.raises(ParallelExecutionError):
-            session.evaluate(query, db, domain=domain, engine=engine)
+            executor.run(tasks)
+        assert executor.report.mode == "sequential"
 
     def test_parallel_error_hierarchy(self):
         from repro.errors import (
