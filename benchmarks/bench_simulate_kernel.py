@@ -8,8 +8,9 @@ Two benchmark families share this file:
   compiled integer kernel (``repro.fsa.kernel``), gated at ≥3×;
 * the kernel-v2 criterion — per-fragment *batch* workloads
   (unidirectional and right-restricted machines on large row batches,
-  a long-row tier of 0.5-1k-character DNA rows, plus a two-way
-  fallback control) run through the v1 worklist kernel
+  a long-row tier of 0.5-1k-character DNA rows, a short-row tier of
+  10k DNA rows of 0-24 characters, plus a two-way fallback control)
+  run through the v1 worklist kernel
   (built with ``compile_kernel``) and the determinized v2 scan kernel
   (built with ``determinize``), gated at v2 ≥2× v1 on the
   unidirectional batch and recorded as the ``BENCH_kernel.json``
@@ -22,6 +23,7 @@ timings.
 """
 
 import json
+import random
 import time
 from pathlib import Path
 
@@ -166,13 +168,28 @@ def _long_rows():
     return rows
 
 
+def _short_rows(count=10_000, seed=11):
+    """The shape of the end-to-end motif scan's n-gram relation.
+
+    ``count`` distinct DNA strings of 0-24 characters: one batch of
+    many short rows, where per-row overheads outweigh the scan itself.
+    """
+    rng = random.Random(seed)
+    words: dict[str, None] = {}
+    while len(words) < count:
+        length = rng.randint(0, 24)
+        words["".join(rng.choice("acgt") for _ in range(length))] = None
+    return [(word,) for word in words]
+
+
 def _batch_workloads():
     """``(name, fragment, machine, rows)`` per-fragment batch workloads.
 
     One workload per fragment tier — unidirectional (arity 1),
     right-restricted (lockstep arity 2) — a long-row tier whose scans
-    accept halfway or read to the end, and a two-way machine as the
-    fallback control: there v2 must transparently equal v1.
+    accept halfway or read to the end, a short-row tier of 10k rows,
+    and a two-way machine as the fallback control: there v2 must
+    transparently equal v1.
     """
     unidirectional = _contains_ab_machine()
     yield "unidirectional-batch", "unidirectional", unidirectional, [
@@ -187,6 +204,7 @@ def _batch_workloads():
     ]
     motif = _motif_machine("gattaca")
     yield "long-rows", "unidirectional", motif, _long_rows()
+    yield "short-rows", "unidirectional", _motif_machine("ag"), _short_rows()
     manifold = compile_string_formula(sh.manifold("x", "y"), AB).fsa
     yield "two-way-fallback", None, manifold, [
         (base * 8, base)

@@ -33,7 +33,9 @@ jumps to a sticky ``ACCEPT`` state, and an empty successor subset is
 the sticky ``DEAD`` state.  The result is a
 :class:`DeterministicKernel`: one flat ``array('l')`` transition table
 (premultiplied targets, so a scan step is one add and one index); each
-row's scan stops at the first sticky state it reaches.
+row's scan stops at the first sticky state it reaches.  A batch of
+single-tape plain strings is interned for those scans in one C pass
+over the joined rows.
 
 :func:`lockstep_intersection` multiplies two determinized tables into
 one machine accepting ``L(A) ∩ L(B)`` — the in-fragment replacement
@@ -120,6 +122,13 @@ _UNCLASSIFIED = object()
 #: Stash marker for "determinization declined" (out of fragment or
 #: over the cell budget), so the verdict is computed once per machine.
 _UNSUPPORTED = "unsupported"
+
+#: Byte codes of the batch intern pass: NUL (the row separator) maps to
+#: ``_SEPARATOR`` and every byte outside Σ to ``_INVALID``.  Kernels with
+#: 254 or more tape symbols keep the per-row loop, so every symbol id
+#: stays clear of both codes.
+_SEPARATOR, _INVALID = 254, 255
+_SEPARATOR_BYTE = bytes([_SEPARATOR])
 
 
 def classify_fragment(fsa: FSA) -> str | None:
@@ -220,6 +229,7 @@ class DeterministicKernel:
         "_ncols",
         "_symbol_count",
         "_codes",
+        "_bytes",
         "_ends",
         "_table",
         "_summaries",
@@ -242,6 +252,9 @@ class DeterministicKernel:
         self._ncols = ncols
         self._symbol_count = symbol_count
         self._codes = codes
+        self._bytes = (
+            _byte_table(codes, symbol_count) if self.arity == 1 else None
+        )
         self._ends = (chr(symbol_count - 2), chr(symbol_count - 1))
         self._table = table
         self._summaries: dict[_Node, array] = {}
@@ -389,12 +402,14 @@ class DeterministicKernel:
     ) -> tuple[bool, ...]:
         """Acceptance of each row, one early-exit scan per row.
 
-        A single-tape SLP row is folded on its grammar.  Every other
-        row is interned once (:meth:`_tape`) and scanned through the
-        table until it reaches a sticky sink — from there no symbol can
-        change the verdict, so the rest of the row is never read.
-        ``simulate.scan_symbols`` counts the columns consumed, the
-        settling one included.
+        A batch of single-tape plain-string rows is interned in one C
+        pass (:meth:`_scan_joined`).  Any other batch takes the per-row
+        loop (:meth:`_scan_each`): a single-tape SLP row is folded on
+        its grammar, every other row is interned on its own.  Either
+        way each row is scanned through the table until it reaches a
+        sticky sink — from there no symbol can change the verdict, so
+        the rest of the row is never read.  ``simulate.scan_symbols``
+        counts the columns consumed, the settling one included.
 
         Args:
             rows: The input tuples, each one string or
@@ -402,6 +417,75 @@ class DeterministicKernel:
 
         Returns:
             Per-row verdicts, positionally aligned with ``rows``.
+        """
+        if self._bytes is not None:
+            if not isinstance(rows, (list, tuple)):
+                rows = tuple(rows)
+            verdicts = self._scan_joined(rows)
+            if verdicts is not None:
+                return verdicts
+        return self._scan_each(rows)
+
+    def _scan_joined(
+        self, rows: Sequence[Sequence[str | SLP]]
+    ) -> tuple[bool, ...] | None:
+        """The batch path: one intern pass over the joined rows.
+
+        The cells are joined on NUL, encoded and translated through the
+        256-byte table :attr:`_bytes` at C level; one ``in`` test
+        validates every character and one ``split`` cuts the rows
+        apart again.  Each piece is scanned from the state after ``⊢``
+        and reads ``⊣`` only if it has not settled.
+
+        Returns ``None``, adding no counter, when the batch is empty or
+        is not all one-cell plain strings over Σ without NUL; the
+        per-row loop then answers it, or raises the error it deserves.
+        """
+        try:
+            cells = [cell for (cell,) in rows]
+            data = "\0".join(cells).encode("latin-1")
+        except (TypeError, ValueError):  # SLP, wrong width, not latin-1
+            return None
+        data = data.translate(self._bytes)
+        if _INVALID in data:
+            return None
+        pieces = data.split(_SEPARATOR_BYTE)
+        if len(pieces) != len(cells):  # NUL inside a row, or no rows
+            return None
+        table = self._table
+        ncols = self._ncols
+        settled = 2 * ncols  # the premultiplied DEAD and ACCEPT rows
+        left, right = self._symbol_count - 2, self._symbol_count - 1
+        first = table[START * ncols + left]
+        scanned = len(pieces)  # every row consumes its ⊢
+        if first < settled:
+            verdicts = [first == ncols] * len(pieces)
+        else:
+            verdicts = []
+            for piece in pieces:
+                state = first
+                pending = iter(piece)
+                for column in pending:
+                    state = table[state + column]
+                    if state < settled:
+                        break
+                else:
+                    state = table[state + right]
+                    scanned += 1
+                scanned += len(piece) - length_hint(pending)
+                verdicts.append(state == ncols)
+        tracer = current_tracer()
+        tracer.add("simulate.runs", len(verdicts))
+        tracer.add("simulate.scan_symbols", scanned)
+        return tuple(verdicts)
+
+    def _scan_each(
+        self, rows: Iterable[Sequence[str | SLP]]
+    ) -> tuple[bool, ...]:
+        """The per-row loop: every row interned and scanned on its own.
+
+        The only path for SLP, multitape and wide-alphabet input, and
+        the one that validates arity and alphabet with its messages.
         """
         arity = self.arity
         table = self._table
@@ -451,6 +535,22 @@ class _CodeTable(dict):
 
     def __missing__(self, code_point: int):
         raise AlphabetError(chr(code_point))
+
+
+def _byte_table(codes: _CodeTable, symbol_count: int) -> bytes | None:
+    """The 256-byte translation table of the batch intern pass.
+
+    ``None`` when Σ holds NUL (the separator) or a character beyond
+    latin-1, or the kernel has 254 or more tape symbols: such kernels
+    keep the per-row loop.
+    """
+    if symbol_count >= _SEPARATOR or 0 in codes or max(codes) > 0xFF:
+        return None
+    table = bytearray([_INVALID]) * 256
+    table[0] = _SEPARATOR
+    for code_point, symbol in codes.items():
+        table[code_point] = symbol
+    return bytes(table)
 
 
 def _rebuild(fsa: FSA) -> DeterministicKernel:

@@ -128,9 +128,9 @@ def accepts_batch(
     The shard entry point of :mod:`repro.parallel` for selection
     filtering: one pickled machine answers a whole slice of rows in
     the worker.  The kernel is compiled (or fetched) once for the
-    whole batch; the scan kernel interns each row once and stops
-    reading it at the first sticky state of its dense transition
-    table.
+    whole batch; the scan kernel interns each row once (a batch of
+    single-tape plain strings in one pass) and stops reading it at the
+    first sticky state of its dense transition table.
     """
     return kernel_for(fsa).accepts_batch(rows)
 

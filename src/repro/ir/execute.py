@@ -1,12 +1,42 @@
 """Executing normalized plans against a database.
 
-A :class:`~repro.ir.plan.ConjunctivePlan` executes as bindings
-flowing through its join / generate / filter steps (the executors of
-:mod:`repro.core.planner`), in the order the cost model chose at
-normalization time.  A :class:`~repro.ir.plan.UnionPlan` executes each
-branch independently and unions the answers; branch independence is
-what lets the ``auto`` strategy parallelize expensive branches while
-running cheap ones in-process.
+The theoretical evaluation routes — brute-force enumeration over
+``Σ^{<=l}`` (Section 2's truncation semantics) and the Theorem 4.2
+algebra translation — both materialize candidate strings per variable,
+which is hopeless once the certified truncation bound is loose.  The
+paper's Eq. (6) hints at a faster strategy for the query shape
+
+    ∃ y₁ … y_n . (L₁ ∧ L₂ ∧ … ∧ L_m)
+
+where each literal ``Lᵢ`` is a relational atom, a string formula, or a
+negation of either.  :mod:`repro.ir.normalize` orders such a branch
+into a :class:`~repro.ir.plan.ConjunctivePlan` of
+:class:`~repro.ir.plan.PlanStep`\\ s, and :func:`execute_branch` runs
+them in that order through three executors:
+
+1. :func:`_join_relational` — a positive relational atom extends the
+   bindings with database rows (grounding variables in stored
+   strings);
+2. :func:`_generate` — a string formula with unbound variables runs
+   its compiled machine as a generalized Mealy machine (Definition
+   3.1), producing the unbound variables from the bound ones — capped
+   by the truncation bound so unsafe generation cannot run away;
+3. :func:`_filter_bound` — a fully-bound literal (including negations)
+   filters.
+
+Bindings are positional: each one is a tuple over the branch's
+*schema*, the variable order the plan fixes step by step (a join
+appends its atom's new variables, a generate step its free ones).  A
+join that binds only fresh variables passes the storage's row tuples
+through unchanged; shared and repeated variables become equality
+checks on column indices; a string filter hands the acceptance kernel
+the bound columns in one batch; and the final projection is the
+identity when the schema is the branch's bound head.
+
+A :class:`~repro.ir.plan.UnionPlan` executes each branch independently
+and unions the answers; branch independence is what lets the ``auto``
+strategy parallelize expensive branches while running cheap ones
+in-process.
 
 Head variables a branch does not mention are padded with the full
 truncation domain ``Σ^{≤cap}`` — the truncation semantics of a
@@ -19,18 +49,239 @@ compute one set.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
+from functools import partial
+from itertools import compress
+from operator import itemgetter, not_
 
 from repro.core.alphabet import Alphabet
 from repro.core.database import Database
-from repro.core.planner import (
-    Binding,
-    _filter_bound,
-    _generate,
-    _join_relational,
-)
+from repro.core.syntax import RelAtom, Var
 from repro.errors import EvaluationError
-from repro.ir.plan import ConjunctivePlan, NaivePlan, QueryPlan
+from repro.ir.plan import ConjunctivePlan, NaivePlan, PlanStep, QueryPlan
+
+#: The variables a branch's bindings hold, in tuple order.
+Schema = tuple[Var, ...]
+
+#: One binding: a value per :data:`Schema` variable.
+Binding = tuple[str, ...]
+
+
+def _columns(indices: Sequence[int]) -> Callable[[tuple], tuple]:
+    """A getter picking ``indices`` out of a row, always as a tuple."""
+    if len(indices) == 1:
+        (index,) = indices
+        return lambda row: (row[index],)
+    if not indices:
+        return lambda row: ()
+    return itemgetter(*indices)
+
+
+def _project(
+    schema: Schema, variables: Sequence[Var], bindings: list[Binding]
+) -> list[Binding]:
+    """The bindings' values of ``variables``, in that order."""
+    if tuple(variables) == schema:
+        return bindings
+    getter = _columns([schema.index(var) for var in variables])
+    return list(map(getter, bindings))
+
+
+def _join_relational(
+    schema: Schema,
+    bindings: list[Binding],
+    literal: PlanStep,
+    db: Database,
+    restrict_rows: frozenset[tuple[str, ...]] | None = None,
+) -> tuple[Schema, list[Binding]]:
+    """Extend bindings with the rows of the step's relation.
+
+    The atom's new variables are appended to the schema.  Variables
+    the schema already holds are matched through a hash on their
+    columns; a variable repeated among the new ones keeps only the
+    rows that agree on its columns.
+
+    When the step carries pushed-down index ``prefilter`` factors
+    *and* the relation's storage backend answers candidate probes,
+    only the candidate rows are scanned — the ``index.pruned`` counter
+    records how many rows the probe excluded.  Backends without an
+    index (or steps without prefilters) scan the full relation.
+
+    ``restrict_rows`` replaces the scanned row set entirely — the
+    semi-naive maintenance hook: incremental re-execution feeds the
+    delta's rows through this one step while every other step sees
+    the full database.
+    """
+    from repro.observability import current_tracer
+    from repro.storage import probe_candidates
+
+    atom: RelAtom = literal.atom
+    view = db.relation(atom.name)
+    rows = view if restrict_rows is None else restrict_rows
+    prefilter = literal.prefilter
+    if prefilter and restrict_rows is None:
+        storage = view.storage
+        rows_for = getattr(storage, "rows_for", None)
+        candidates: frozenset[int] | None = None
+        for column, factors in prefilter:
+            found = probe_candidates(storage, column, factors)
+            if found is None:
+                continue
+            candidates = (
+                found if candidates is None else candidates & found
+            )
+            if not candidates:
+                break
+        if candidates is not None and rows_for is not None:
+            current_tracer().add(
+                "index.pruned", storage.size() - len(candidates)
+            )
+            rows = tuple(rows_for(candidates))
+    shared: list[tuple[int, int]] = []  # (column, schema index)
+    repeated: list[tuple[int, int]] = []  # (column, first column)
+    fresh: dict[Var, int] = {}  # new variable -> its first column
+    for column, var in enumerate(atom.args):
+        if var in schema:
+            shared.append((column, schema.index(var)))
+        elif var in fresh:
+            repeated.append((column, fresh[var]))
+        else:
+            fresh[var] = column
+    if repeated:
+        rows = [
+            row
+            for row in rows
+            if all(row[column] == row[first] for column, first in repeated)
+        ]
+    joined = schema + tuple(fresh)
+    extend = _columns(list(fresh.values()))
+    if not shared:
+        if len(fresh) == len(atom.args):
+            extensions = list(rows)
+        else:
+            extensions = list(map(extend, rows))
+        if not schema:  # the first step: bindings == [()]
+            return joined, extensions
+        return joined, [b + e for b in bindings for e in extensions]
+    row_key = _columns([column for column, _ in shared])
+    matches: dict[tuple, list[Binding]] = {}
+    for row in rows:
+        matches.setdefault(row_key(row), []).append(extend(row))
+    binding_key = _columns([index for _, index in shared])
+    return joined, [
+        b + e for b in bindings for e in matches.get(binding_key(b), ())
+    ]
+
+
+def _filter_bound(
+    schema: Schema,
+    bindings: list[Binding],
+    literal: PlanStep,
+    db: Database,
+    alphabet: Alphabet | None = None,
+    session=None,
+    restrict_rows: frozenset[tuple[str, ...]] | None = None,
+) -> list[Binding]:
+    """Keep the bindings on which the fully-bound literal holds.
+
+    Relational atoms test membership against the database.  String
+    atoms run the compiled machine's integer acceptance kernel in one
+    batch when a ``session`` (and the query ``alphabet``) is available
+    — Theorem 3.1 makes machine acceptance coincide with formula
+    satisfaction — and fall back to the reference checker otherwise.
+
+    ``restrict_rows`` narrows a *positive* relational membership test
+    to the given rows (the semi-naive maintenance hook); it is never
+    applied to negated or string literals.
+    """
+    from repro.core.semantics import check_string_formula
+
+    atom = literal.atom
+    if isinstance(atom, RelAtom):
+        if restrict_rows is not None and not literal.negated:
+            member = restrict_rows.__contains__
+        else:
+            member = partial(db.contains, atom.name)
+        held = map(member, _project(schema, atom.args, bindings))
+    else:
+        compiled = None
+        if session is not None and alphabet is not None:
+            compiled = session.compile(atom.formula, alphabet)
+        if compiled is not None and compiled.variables:
+            held = session.kernel(compiled.fsa).accepts_batch(
+                _project(schema, compiled.variables, bindings)
+            )
+        else:
+            held = (
+                check_string_formula(atom.formula, dict(zip(schema, binding)))
+                for binding in bindings
+            )
+    if literal.negated:
+        held = map(not_, held)
+    return list(compress(bindings, held))
+
+
+def _generate(
+    schema: Schema,
+    bindings: list[Binding],
+    literal: PlanStep,
+    alphabet: Alphabet,
+    cap: int,
+    session=None,
+    executor=None,
+) -> tuple[Schema, list[Binding]]:
+    """Extend bindings with the literal's unbound variables via the
+    compiled machine's output generation.
+
+    The unbound variables are appended to the schema in tape order.
+    With a ``session`` (a :class:`repro.engine.QueryEngine`), the
+    compiled machine, its specializations on already-bound values, and
+    the generated answer sets are all served from the session's caches
+    — the generator-machine reuse that makes repeated traffic fast.
+    With an ``executor`` (a :class:`repro.parallel.ParallelExecutor`)
+    the per-binding generator runs — independent by construction — are
+    sharded across its worker pool, cache hits resolved in-process
+    first and worker results folded back into the session cache.
+    """
+    from repro.fsa.compile import compile_string_formula
+    from repro.fsa.generate import accepted_tuples
+
+    if session is not None:
+        compiled = session.compile(literal.atom.formula, alphabet)
+    else:
+        compiled = compile_string_formula(literal.atom.formula, alphabet)
+    fixed_tapes = [
+        (compiled.tape_of(var), schema.index(var))
+        for var in compiled.variables
+        if var in schema
+    ]
+    fixed_list = [
+        {tape: binding[index] for tape, index in fixed_tapes}
+        for binding in bindings
+    ]
+    if executor is not None:
+        from repro.parallel.generation import generated_for_fixed
+
+        values_sets = generated_for_fixed(
+            compiled.fsa, cap, fixed_list, session=session, executor=executor
+        )
+    elif session is not None:
+        values_sets = [
+            session.generated(compiled.fsa, cap, fixed)
+            for fixed in fixed_list
+        ]
+    else:
+        values_sets = [
+            accepted_tuples(compiled.fsa, max_length=cap, fixed=fixed)
+            for fixed in fixed_list
+        ]
+    free = tuple(var for var in compiled.variables if var not in schema)
+    extended = dict.fromkeys(
+        binding + values
+        for binding, values_set in zip(bindings, values_sets)
+        for values in values_set
+    )
+    return schema + free, list(extended)
 
 
 def execute_branch(
@@ -71,7 +322,8 @@ def execute_branch(
     from repro.observability import current_tracer
 
     tracer = current_tracer()
-    bindings: list[Binding] = [{}]
+    schema: Schema = ()
+    bindings: list[Binding] = [()]
     for index, step in enumerate(branch.steps):
         restricted = restrict.get(index) if restrict else None
         with tracer.span(
@@ -79,29 +331,22 @@ def execute_branch(
         ):
             if step.action == "filter":
                 bindings = _filter_bound(
-                    bindings, step, db, alphabet, session,
+                    schema, bindings, step, db, alphabet, session,
                     restrict_rows=restricted,
                 )
             elif step.action == "join":
-                bindings = _join_relational(
-                    bindings, step, db, restrict_rows=restricted
+                schema, bindings = _join_relational(
+                    schema, bindings, step, db, restrict_rows=restricted
                 )
             else:
-                bindings = _generate(
-                    bindings, step, alphabet, cap, session, executor
+                schema, bindings = _generate(
+                    schema, bindings, step, alphabet, cap, session, executor
                 )
-                # Join and filter steps need no such pass: each binding
-                # they output determines its input binding and row.
-                unique = {tuple(sorted(b.items())): b for b in bindings}
-                bindings = list(unique.values())
         if not bindings:
             return frozenset()
-    projected = {
-        tuple(binding[var] for var in branch.bound_head)
-        for binding in bindings
-    }
+    projected = frozenset(_project(schema, branch.bound_head, bindings))
     if not branch.free_head:
-        return frozenset(projected)
+        return projected
     if domain is None:
         if session is not None:
             domain = session.domain_for(alphabet, cap)

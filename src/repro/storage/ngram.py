@@ -295,30 +295,27 @@ class NGramIndexStorage:
             factor[start : start + self._n]
             for start in range(len(factor) - self._n + 1)
         ]
-        survivors: dict[int, set[int]] = {}
-        for row_id, position in self._gram_postings(column, grams[0]):
-            survivors.setdefault(row_id, set()).add(position)
+        # (row id, position) occurrences per distinct gram, built once
+        # per probe: a factor like ``gcgcgc`` repeats its grams.
+        occurrences: dict[str, set[tuple[int, int]]] = {}
+
+        def occurring(gram: str) -> set[tuple[int, int]]:
+            if gram not in occurrences:
+                occurrences[gram] = set(self._gram_postings(column, gram))
+            return occurrences[gram]
+
+        starts = occurring(grams[0])
         for offset, gram in enumerate(grams[1:], start=1):
-            if not survivors:
+            if not starts:
                 break
-            positions: dict[int, set[int]] = {}
-            for row_id, position in self._gram_postings(column, gram):
-                if row_id in survivors:
-                    positions.setdefault(row_id, set()).add(position)
-            survivors = {
-                row_id: kept
-                for row_id, starts in survivors.items()
-                if (
-                    kept := {
-                        start
-                        for start in starts
-                        if start + offset in positions.get(row_id, ())
-                    }
-                )
+            present = occurring(gram)
+            starts = {
+                (row_id, start)
+                for row_id, start in starts
+                if (row_id, start + offset) in present
             }
-        if self._dead:
-            return frozenset(survivors) - self._dead
-        return frozenset(survivors)
+        found = frozenset(row_id for row_id, _ in starts)
+        return found - self._dead if self._dead else found
 
     def rows_for(self, row_ids: Iterable[int]) -> Iterator[tuple[str, ...]]:
         """Decode the tuples with the given row ids, in sorted id order.

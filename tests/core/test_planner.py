@@ -2,7 +2,7 @@
 
 Paper queries are normalized (:func:`repro.ir.build_query_plan`) and
 executed (:func:`repro.ir.execute.execute_plan`, which runs the join /
-generate / filter executors of :mod:`repro.core.planner`); the answers
+generate / filter executors of :mod:`repro.ir.execute`); the answers
 must match the naive reference.  Shapes outside the conjunctive
 fragment get a naive plan root, which ``auto`` records and answers
 with the reference semantics.
@@ -103,6 +103,42 @@ class TestPlanner:
         assert plan_for(formula, ("x",)).fallback_reason == (
             REASON_UNBOUND_NEGATION
         )
+
+    def test_join_on_two_variables_bound_in_the_other_order(self):
+        # R1 binds (y, x); R3 then matches both columns against the
+        # bindings in the opposite order to the one they hold them in.
+        database = Database(
+            AB,
+            {
+                "R1": [("a", "b"), ("b", "a"), ("ab", "b")],
+                "R3": [
+                    ("b", "a", "ab"),
+                    ("a", "b", "b"),
+                    ("b", "ab", "a"),
+                    ("a", "a", "a"),
+                    ("ab", "ab", "ab"),
+                ],
+            },
+        )
+        formula = And(rel("R1", "y", "x"), rel("R3", "x", "y", "z"))
+        head = ("x", "y", "z")
+        plan = build_query_plan(
+            formula, head, CostModel.for_database(database, AB, 2)
+        )
+        (branch,) = plan.branches()
+        assert [(step.action, step.atom.name) for step in branch.steps] == [
+            ("join", "R1"),
+            ("join", "R3"),
+        ]
+        expected = evaluate_naive(
+            formula, head, database, tuple(AB.strings(2))
+        )
+        assert expected == {
+            ("b", "a", "ab"),
+            ("a", "b", "b"),
+            ("b", "ab", "a"),
+        }
+        assert execute_plan(plan, database, AB, 2) == expected
 
     def test_empty_result_short_circuits(self):
         formula = And(rel("Empty", "x"), lift(sh.constant("x", "a")))

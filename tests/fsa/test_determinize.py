@@ -14,6 +14,9 @@ The v2 contract has two halves, both enforced here:
 The batch entry point is one early-exit scan per row, so it is held
 to the per-row calls as well: same verdicts, same counter totals, and
 the same alphabet validation even past the point where a scan settles.
+A batch of single-tape plain strings is interned in one pass over the
+joined rows; every batch that cannot be falls back to the per-row loop
+with the loop's errors and counters.
 """
 
 import pickle
@@ -171,20 +174,20 @@ _COUNTERS = (
 
 
 @st.composite
-def _cells(draw):
+def _cells(draw, plain=False):
     """A plain or SLP cell over ``ab``, empty to 2000 characters."""
     length = draw(st.sampled_from(_CELL_LENGTHS))
     unit = draw(st.text(alphabet="ab", min_size=1, max_size=5))
     text = (unit * (length // len(unit) + 1))[:length]
-    return compress(text) if draw(st.booleans()) else text
+    return text if plain or draw(st.booleans()) else compress(text)
 
 
 @st.composite
 def _machines_with_batches(draw):
+    """A machine and a batch; half the batches are plain strings only."""
     fsa = draw(_in_fragment_machines())
-    rows = draw(
-        st.lists(st.tuples(*[_cells()] * fsa.arity), max_size=6)
-    )
+    cells = _cells(plain=draw(st.booleans()))
+    rows = draw(st.lists(st.tuples(*[cells] * fsa.arity), max_size=6))
     return fsa, rows
 
 
@@ -219,22 +222,40 @@ def _contains(alphabet, symbol):
     return make_fsa(1, alphabet, "s", ["f"], transitions)
 
 
-@settings(max_examples=80, deadline=None)
+def _plain_single_tape(rows):
+    return bool(rows) and all(
+        len(row) == 1 and type(row[0]) is str for row in rows
+    )
+
+
+@settings(max_examples=120, deadline=None)
 @given(case=_machines_with_batches())
 def test_batch_equals_rows_and_reference(case):
+    """Batch, per-row calls and the per-row loop agree with the
+    reference and with each other's counters; plain single-tape
+    batches take the joined intern pass."""
     fsa, rows = case
     kernel = determinize(fsa)
-    batch_tracer, row_tracer = Tracer(), Tracer()
-    with activate(batch_tracer):
+    tracers = {"batch": Tracer(), "rows": Tracer(), "loop": Tracer()}
+    with activate(tracers["batch"]):
         batch = kernel.accepts_batch(rows)
-    with activate(row_tracer):
+    with activate(tracers["rows"]):
         single = tuple(kernel.accepts(row) for row in rows)
+    with activate(tracers["loop"]):
+        loop = kernel._scan_each(rows)
     expected = tuple(reference_accepts(fsa, _expanded(row)) for row in rows)
-    assert batch == single == expected
+    assert batch == single == loop == expected
     for name in _COUNTERS:
-        assert batch_tracer.counters.get(name, 0) == (
-            row_tracer.counters.get(name, 0)
-        ), name
+        totals = {
+            route: tracer.counters.get(name, 0)
+            for route, tracer in tracers.items()
+        }
+        assert len(set(totals.values())) == 1, (name, totals)
+    joined = kernel._scan_joined(rows)
+    if _plain_single_tape(rows):
+        assert joined == expected
+    else:
+        assert joined is None
 
 
 class TestEarlyExit:
@@ -290,20 +311,95 @@ class TestEarlyExit:
         [
             "\x01\x00\x03\x02",  # ords that are other symbols' codes
             [chr(0x100 + index) for index in range(300)],  # > 256 codes
+            "αβγδ",
+            [chr(index) for index in range(1, 256)],  # ids reach 254
         ],
-        ids=["control-characters", "300-symbols"],
+        ids=["control-characters", "300-symbols", "non-latin-1", "latin-1"],
     )
     def test_alphabets_of_any_size(self, symbols):
         alphabet = Alphabet(symbols)
         chars = alphabet.symbols
         fsa = _contains(alphabet, chars[1])
         kernel = determinize(fsa)
+        # NUL in Σ, 254+ tape symbols, characters beyond latin-1: the
+        # joined intern pass cannot hold these, the per-row loop does.
+        assert kernel._bytes is None
         rows = [(chars[0] * length,) for length in (0, 1, 40)]
         rows += [(chars[2] + chars[1],), ("".join(chars[::-1]),)]
         rows += [(chars[-1] * 30 + chars[1] + chars[0] * 30,)]
         expected = tuple(reference_accepts(fsa, row) for row in rows)
         assert kernel.accepts_batch(rows) == expected
         assert expected == (False, False, False, True, True, True)
+
+    def test_alphabet_error_in_the_last_row_of_a_batch(self):
+        kernel = determinize(_first_ab())
+        rows = [("ab",), ("b" * 40,), ("ab" + "b" * 50 + "z",)]
+        tracer = Tracer()
+        with activate(tracer), pytest.raises(AlphabetError) as batch:
+            kernel.accepts_batch(rows)
+        with pytest.raises(AlphabetError) as loop:
+            kernel._scan_each(rows)
+        assert str(batch.value) == str(loop.value)
+        assert "'z' of 'abbb" in str(batch.value)
+        assert not tracer.counters
+
+    @pytest.mark.parametrize("char", ["\x00", "é", "😀", LEFT_END])
+    def test_characters_outside_sigma_never_split_a_row(self, char):
+        kernel = determinize(_first_ab())
+        rows = [("b",), ("a" + char + "b",)]
+        assert kernel._scan_joined(rows) is None
+        tracer = Tracer()
+        with activate(tracer), pytest.raises(AlphabetError) as batch:
+            kernel.accepts_batch(rows)
+        with pytest.raises(AlphabetError) as loop:
+            kernel._scan_each(rows)
+        assert str(batch.value) == str(loop.value)
+        assert not tracer.counters
+
+    def test_slp_and_plain_cells_mixed(self):
+        kernel = determinize(_first_ab())
+        rows = [("ab",), (compress("bab"),), ("bb",)]
+        assert kernel._scan_joined(rows) is None
+        batch_tracer, loop_tracer = Tracer(), Tracer()
+        with activate(batch_tracer):
+            verdicts = kernel.accepts_batch(rows)
+        with activate(loop_tracer):
+            assert kernel._scan_each(rows) == verdicts == (True, True, False)
+        for name in _COUNTERS:
+            assert batch_tracer.counters.get(name, 0) == (
+                loop_tracer.counters.get(name, 0)
+            ), name
+
+    def test_wrong_width_row(self):
+        kernel = determinize(_first_ab())
+        tracer = Tracer()
+        with activate(tracer), pytest.raises(
+            ArityError, match="^1-FSA fed 2 input strings$"
+        ):
+            kernel.accepts_batch([("ab",), ("a", "b")])
+        assert not tracer.counters
+
+    def test_empty_batch(self):
+        kernel = determinize(_first_ab())
+        assert kernel._scan_joined([]) is None
+        tracer = Tracer()
+        with activate(tracer):
+            assert kernel.accepts_batch([]) == ()
+        assert tracer.counters.get("simulate.runs", 0) == 0
+
+    def test_generator_of_rows(self):
+        kernel = determinize(_first_ab())
+        words = ["ab", "ba", "bab", ""]
+        assert kernel.accepts_batch((word,) for word in words) == (
+            True, False, True, False
+        )
+
+    def test_a_bare_string_is_a_row_of_its_characters(self):
+        kernel = determinize(_first_ab())
+        assert kernel.accepts("a") is kernel.accepts(("a",)) is False
+        assert kernel.accepts_batch(["a", "b"]) == (False, False)
+        with pytest.raises(ArityError, match="fed 2 input strings"):
+            kernel.accepts("ab")
 
     def test_multitape_columns_beyond_a_byte(self):
         alphabet = Alphabet("abcdefghijklmnopqrst")  # 22² packed columns

@@ -117,6 +117,37 @@ def _queries(alphabet):
         ),
         alphabet,
     )
+    # Positional bindings: heads, filters and generated columns whose
+    # variable order differs from the order the plan binds them in.
+    yield "permuted-head", Query(("y", "x"), rel("R1", "x", "y"), alphabet)
+    yield "permuted-relational-filter", Query(
+        ("x", "y"), And(rel("R1", "x", "y"), rel("R1", "y", "x")), alphabet
+    )
+    yield "generate-then-negated-filter", Query(
+        ("x",),
+        exists(
+            "y",
+            And(
+                rel("R2", "y"),
+                And(lift(sh.suffix_of("x", "y")), Not(rel("R2", "x"))),
+            ),
+        ),
+        alphabet,
+    )
+    yield "two-variable-generate-then-filter", Query(
+        ("x", "y"),
+        exists(
+            "z",
+            And(
+                rel("R2", "z"),
+                And(
+                    lift(sh.concatenation("z", "x", "y")),
+                    lift(sh.prefix_of("y", "x")),
+                ),
+            ),
+        ),
+        alphabet,
+    )
 
 
 QUERIES = list(_queries(AB))
