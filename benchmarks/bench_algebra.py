@@ -18,6 +18,7 @@ from repro.core import shorthands as sh
 from repro.core.alphabet import AB
 from repro.core.semantics import evaluate_naive
 from repro.core.syntax import And, exists, lift, rel
+from repro.engine import QueryEngine
 from repro.fsa.compile import compile_string_formula
 
 
@@ -38,7 +39,7 @@ def test_translated_expression_agrees(ab_database, formula):
     expected = evaluate_naive(
         formula, ("x",), ab_database, tuple(AB.strings(4))
     )
-    got = evaluate_expression(expression, ab_database, 4)
+    got = evaluate_expression(expression, ab_database, 4, QueryEngine())
     assert got == expected
 
 

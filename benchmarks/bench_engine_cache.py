@@ -118,7 +118,7 @@ def main() -> None:
     print(f"cold: {cold * 1e3:8.2f} ms   (fresh QueryEngine per run)")
     print(f"warm: {warm * 1e3:8.2f} ms   (long-lived session)")
     print(f"speedup: {cold / warm:.1f}x")
-    print(session.stats.describe())
+    print(session.trace_report().summary())
 
 
 if __name__ == "__main__":

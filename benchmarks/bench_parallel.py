@@ -146,7 +146,9 @@ def main() -> None:
     print(f"1 worker:  {single * 1e3:8.0f} ms")
     print(f"{SPEEDUP_WORKERS} workers: {multi * 1e3:8.0f} ms")
     print(f"speedup:   {single / multi:.2f}x  ({os.cpu_count()} CPUs)")
-    print(session.stats.describe().splitlines()[-1])
+    for line in session.trace_report().summary().splitlines():
+        if line.startswith("parallel"):
+            print(line)
 
 
 if __name__ == "__main__":

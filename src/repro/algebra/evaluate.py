@@ -15,7 +15,8 @@ Two regimes, both from Section 4 of the paper:
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import compress, product
+from typing import TYPE_CHECKING
 
 from repro.algebra.expressions import (
     Diff,
@@ -30,8 +31,10 @@ from repro.algebra.expressions import (
 )
 from repro.core.database import Database
 from repro.errors import EvaluationError, UnboundedQueryError
-from repro.fsa.generate import accepted_tuples
-from repro.fsa.kernel import kernel_for
+from repro.observability import current_tracer
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.engine.session import QueryEngine
 
 Relation = frozenset[tuple[str, ...]]
 
@@ -46,45 +49,26 @@ def _flatten_product(expression: Expression) -> list[Expression]:
 
 
 def _evaluate_select(
-    select: Select, db: Database, length: int, session=None, executor=None
+    select: Select, db: Database, length: int, session: "QueryEngine"
 ) -> Relation:
     """Selection, generating ``Σ*`` columns instead of materializing them.
 
-    Factors that are ``Σ*`` become generated tapes; all other factors
-    are evaluated and iterated, their columns fixed in the machine via
-    Lemma 3.1.  Non-generative selections run through the machine's
-    compiled simulation kernel (:mod:`repro.fsa.kernel`), batched so
-    the whole inner relation shares one compiled dispatch table and
-    one set of scratch buffers.  With a ``session``
-    (:class:`repro.engine.QueryEngine`) the machine is first replaced
-    by its cached bisimulation quotient (which preserves the accepted
-    language, hence both filtering and generation), the kernel comes
-    from the session's ``kernel`` cache and the specialize/generate
-    steps are served from the session caches; with an ``executor``
-    (:class:`repro.parallel.ParallelExecutor`) the per-row machine
-    runs — acceptance checks and generator runs alike — are sharded
-    across its worker pool.
+    The machine is first replaced by its session-cached bisimulation
+    quotient, which preserves the accepted language, hence both
+    filtering and generation.  Non-generative selections run the
+    session's acceptance kernel (:mod:`repro.fsa.kernel`) over the
+    whole inner relation in one batch.  Otherwise the factors that are
+    ``Σ*`` become generated tapes; all other factors are evaluated and
+    iterated, each tuple of their product fixing its columns in the
+    machine via Lemma 3.1 — one key of
+    :meth:`repro.engine.QueryEngine.generated`.
     """
-    machine = select.machine
-    if session is not None:
-        machine = session.minimized_machine(machine)
+    machine = session.minimized_machine(select.machine)
     factors = _flatten_product(select.inner)
     if not any(isinstance(f, SigmaStar) for f in factors):
-        inner = _evaluate(select.inner, db, length, session, executor)
-        if executor is not None:
-            from repro.parallel.generation import filter_accepted
-
-            return filter_accepted(machine, sorted(inner), executor=executor)
-        kernel = (
-            session.kernel(machine)
-            if session is not None
-            else kernel_for(machine)
-        )
-        rows = sorted(inner)
+        rows = list(_evaluate(select.inner, db, length, session))
         return frozenset(
-            row
-            for row, verdict in zip(rows, kernel.accepts_batch(rows))
-            if verdict
+            compress(rows, session.kernel(machine).accepts_batch(rows))
         )
     generated_tapes: list[int] = []
     concrete: list[tuple[int, ...]] = []  # column spans of concrete factors
@@ -96,34 +80,25 @@ def _evaluate_select(
             generated_tapes.extend(span)
         else:
             concrete.append(span)
-            concrete_values.append(
-                _evaluate(factor, db, length, session, executor)
-            )
+            concrete_values.append(_evaluate(factor, db, length, session))
         column += factor.arity
     width = column
-    fixed_list: list[dict[int, str]] = []
-    # Sorted factor iteration keeps the row order — and therefore the
-    # shard contents — deterministic across interpreter runs.
-    for rows in product(*(sorted(v) for v in concrete_values)):
-        fixed: dict[int, str] = {}
-        for span, row in zip(concrete, rows):
-            for tape, value in zip(span, row):
-                fixed[tape] = value
-        fixed_list.append(fixed)
-    from repro.observability import current_tracer
-    from repro.parallel.generation import generated_for_fixed
-
-    generated_sets = generated_for_fixed(
-        machine, length, fixed_list, session=session, executor=executor
-    )
+    # Spans ascend, so each key lists its tapes in sorted order.
+    keys = [
+        tuple(
+            pair
+            for span, row in zip(concrete, rows)
+            for pair in zip(span, row)
+        )
+        for rows in product(*concrete_values)
+    ]
+    answers = session.generated(machine, length, keys)
     results: set[tuple[str, ...]] = set()
-    with current_tracer().span(
-        "fold.select", stage="fold", rows=len(fixed_list)
-    ):
-        for fixed, generated in zip(fixed_list, generated_sets):
+    with current_tracer().span("fold.select", stage="fold", rows=len(keys)):
+        for key, generated in answers.items():
             for outputs in generated:
                 merged = [""] * width
-                for tape, value in fixed.items():
+                for tape, value in key:
                     merged[tape] = value
                 for tape, value in zip(generated_tapes, outputs):
                     merged[tape] = value
@@ -135,8 +110,7 @@ def _evaluate(
     expression: Expression,
     db: Database,
     length: int,
-    session=None,
-    executor=None,
+    session: "QueryEngine",
 ) -> Relation:
     if isinstance(expression, Rel):
         # The view's backing frozenset: the algebra operators below
@@ -149,24 +123,24 @@ def _evaluate(
         bound = min(expression.bound, length) if length >= 0 else expression.bound
         return frozenset((s,) for s in db.alphabet.strings(bound))
     if isinstance(expression, Union):
-        return _evaluate(
-            expression.left, db, length, session, executor
-        ) | _evaluate(expression.right, db, length, session, executor)
+        return _evaluate(expression.left, db, length, session) | _evaluate(
+            expression.right, db, length, session
+        )
     if isinstance(expression, Diff):
-        return _evaluate(
-            expression.left, db, length, session, executor
-        ) - _evaluate(expression.right, db, length, session, executor)
+        return _evaluate(expression.left, db, length, session) - _evaluate(
+            expression.right, db, length, session
+        )
     if isinstance(expression, Product):
-        left = _evaluate(expression.left, db, length, session, executor)
-        right = _evaluate(expression.right, db, length, session, executor)
+        left = _evaluate(expression.left, db, length, session)
+        right = _evaluate(expression.right, db, length, session)
         return frozenset(l + r for l in left for r in right)
     if isinstance(expression, Project):
-        inner = _evaluate(expression.inner, db, length, session, executor)
+        inner = _evaluate(expression.inner, db, length, session)
         return frozenset(
             tuple(row[i] for i in expression.columns) for row in inner
         )
     if isinstance(expression, Select):
-        return _evaluate_select(expression, db, length, session, executor)
+        return _evaluate_select(expression, db, length, session)
     raise TypeError(f"not an algebra expression: {expression!r}")
 
 
@@ -174,29 +148,23 @@ def evaluate_expression(
     expression: Expression,
     db: Database,
     length: int,
-    domain: tuple[str, ...] | None = None,
-    session=None,
-    executor=None,
+    session: "QueryEngine",
 ) -> Relation:
     """``db(E ↓ length)`` — the truncated value of the expression.
 
-    ``domain`` is accepted for interface compatibility with the naive
-    engine; evaluation is always over ``Σ^{<=length}``, so a caller
-    passing a non-prefix-closed domain should compare against the
-    truncated semantics instead.  ``session`` optionally supplies a
-    :class:`repro.engine.QueryEngine` whose caches back the generative
-    selections; ``executor`` optionally supplies a
-    :class:`repro.parallel.ParallelExecutor` that shards the
-    selection-operator machine runs across worker processes.
+    Every ``Σ*`` reads as ``Σ^{<=length}``.  ``session`` is the
+    :class:`repro.engine.QueryEngine` whose caches back the
+    selections (minimized machines, kernels, generated answer sets).
     """
     if length < 0:
         raise EvaluationError("truncation length must be non-negative")
-    return _evaluate(expression, db, length, session, executor)
+    return _evaluate(expression, db, length, session)
 
 
 def evaluate_exact(
     expression: Expression,
     db: Database,
+    session: "QueryEngine",
     limit: int | None = None,
 ) -> Relation:
     """Exact evaluation for expressions certified finitely evaluable.
@@ -215,4 +183,4 @@ def evaluate_exact(
                 "expression is not certifiably finitely evaluable; "
                 "pass an explicit limit"
             )
-    return _evaluate(expression, db, limit)
+    return evaluate_expression(expression, db, limit, session)

@@ -122,7 +122,6 @@ def cmd_query(args: argparse.Namespace) -> int:
         length=args.length,
         engine=args.engine,
         workers=args.workers,
-        shards=args.shards,
     )
     for row in sorted(answers):
         print("\t".join(value if value else "ε" for value in row))
@@ -195,7 +194,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             max_queue=args.max_queue,
             default_deadline=args.deadline,
             default_workers=args.workers,
-            default_shards=args.shards,
             report_log=args.report_log,
         )
         await service.start()
@@ -277,7 +275,6 @@ def cmd_client(args: argparse.Namespace) -> int:
             length=args.length,
             engine=args.engine,
             workers=args.workers,
-            shards=args.shards,
             deadline=args.deadline,
         )
         for row in rows:
@@ -330,16 +327,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="worker processes for sharded evaluation by the auto "
-        "and algebra engines (default: one per CPU for auto, which "
-        "pools only expensive plan branches and candidate spaces; "
-        "1 forces sequential). Answers are identical for every "
+        "engine (default: one per CPU; auto pools only expensive plan "
+        "branches and candidate spaces, 1 forces sequential, the "
+        "other engines ignore it). Answers are identical for every "
         "worker count.",
-    )
-    query.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="shard count for sharded evaluation (default: 4 per worker)",
     )
     query.add_argument(
         "--storage",
@@ -468,12 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="default worker processes for sharded evaluation",
     )
     serve.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="default shard count for sharded evaluation",
-    )
-    serve.add_argument(
         "--storage", choices=STORAGE_KINDS, default="memory"
     )
     serve.add_argument("--index-dir", metavar="DIR", default=None)
@@ -507,7 +492,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine", choices=available_engines(), default=None
     )
     client.add_argument("--workers", type=int, default=None)
-    client.add_argument("--shards", type=int, default=None)
     client.add_argument(
         "--deadline",
         type=float,

@@ -121,8 +121,8 @@ class KeyedCache:
         A present key counts as a hit; an absent key counts nothing —
         the caller is expected to come back through
         :meth:`get_or_compute` or :meth:`store` with the real value.
-        Used by the parallel layer to split "served from cache" from
-        "dispatched to a worker" before any work is shipped.
+        ``QueryEngine.generated`` uses it to split "served from cache"
+        from "computed", in-process or by a worker.
         """
         value = self._store.get(key, _MISSING)
         if value is _MISSING:
@@ -288,49 +288,3 @@ class EngineStats:
             "parallel": dict(self.parallel),
             "rejects": dict(self.rejects),
         }
-
-    def describe(self) -> str:
-        """The human-readable cache/engine/parallel lines of ``--stats``.
-
-        Returns:
-            One line per cache, per engine, and (when any parallel run
-            happened) one parallel-totals line.
-        """
-        lines = []
-        for name in sorted(self.caches):
-            stats = self.caches[name]
-            line = (
-                f"cache {name:<10} hits={stats.hits:<6} "
-                f"misses={stats.misses:<6} hit_rate={stats.hit_rate:.0%} "
-                f"miss_seconds={stats.seconds:.4f}"
-            )
-            if stats.invalidated:
-                line += f" invalidated={stats.invalidated}"
-            lines.append(line)
-        for name in sorted(self.evaluations):
-            lines.append(
-                f"engine {name:<9} runs={self.evaluations[name]:<6} "
-                f"seconds={self.engine_seconds.get(name, 0.0):.4f}"
-            )
-        for reason in sorted(self.rejects):
-            lines.append(
-                f"reject {reason:<20} count={self.rejects[reason]}"
-            )
-        if self.parallel.get("runs"):
-            totals = self.parallel
-            lines.append(
-                "parallel runs={runs} shards={done}/{planned} "
-                "retries={retries} resplits={resplits} timeouts={timeouts} "
-                "cache_hits={cache_hits} wall={wall:.4f}s cpu={cpu:.4f}s".format(
-                    runs=totals.get("runs", 0),
-                    done=totals.get("shards_completed", 0),
-                    planned=totals.get("shards_planned", 0),
-                    retries=totals.get("retries", 0),
-                    resplits=totals.get("resplits", 0),
-                    timeouts=totals.get("timeouts", 0),
-                    cache_hits=totals.get("cache_hits", 0),
-                    wall=totals.get("wall_seconds", 0.0),
-                    cpu=totals.get("task_seconds", 0.0),
-                )
-            )
-        return "\n".join(lines)

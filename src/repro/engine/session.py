@@ -19,7 +19,8 @@ across the whole batch.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
+from functools import partial
 from time import perf_counter
 from typing import TYPE_CHECKING
 
@@ -36,12 +37,13 @@ from repro.observability import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.algebra.expressions import Expression
     from repro.core.query import Query
     from repro.core.syntax import Formula, StringFormula, Var
     from repro.fsa.compile import CompiledFormula
     from repro.fsa.machine import FSA
     from repro.observability import NullTracer, Tracer
+    from repro.parallel.executor import ParallelExecutor
+    from repro.parallel.tasks import FixedItems
     from repro.safety.domain_independence import SafetyReport
 
 
@@ -81,7 +83,6 @@ class QueryEngine:
             KeyedCache("generate", max_entries=max_generated_entries)
         )
         self._limit = register(KeyedCache("limit"))
-        self._translate = register(KeyedCache("translate"))
         self._ir = register(KeyedCache("ir"))
         self._optimize = register(KeyedCache("optimize"))
         self._domain_stats = register(KeyedCache("domain")).stats
@@ -172,28 +173,6 @@ class QueryEngine:
             ),
         )
 
-    def minimized(
-        self,
-        formula: "StringFormula",
-        alphabet: Alphabet,
-        variables: "tuple[Var, ...] | None" = None,
-    ) -> "CompiledFormula":
-        """The compiled machine, quotiented by bisimulation (cached)."""
-        from repro.fsa.compile import CompiledFormula, resolve_layout
-        from repro.fsa.minimize import bisimulation_quotient
-
-        layout = resolve_layout(formula, variables)
-
-        def build() -> "CompiledFormula":
-            compiled = self.compile(formula, alphabet, layout)
-            return CompiledFormula(
-                bisimulation_quotient(compiled.fsa), compiled.variables
-            )
-
-        return self._minimize.get_or_compute(
-            (formula, alphabet, layout), self._activated(build)
-        )
-
     def kernel(self, fsa: "FSA"):
         """The acceptance kernel for ``fsa``, cached structurally.
 
@@ -235,68 +214,101 @@ class QueryEngine:
     def generated(
         self,
         fsa: "FSA",
-        max_length: int,
-        fixed: Mapping[int, str] | None = None,
-    ) -> frozenset[tuple[str, ...]]:
-        """``accepted_tuples`` with specialization and answers cached.
+        cap: int,
+        keys: "Iterable[FixedItems]",
+        executor: "ParallelExecutor | None" = None,
+    ) -> "dict[FixedItems, frozenset[tuple[str, ...]]]":
+        """The generator runs of Definition 3.1, one per distinct key.
 
-        The generator-machine fast path behind plan execution and the
-        algebra's ``σ_A(F × (Σ*)^n)``.
+        The only entry for generate work: the plan's generate step
+        (Eq. 6) and the algebra's ``σ_A(F × (Σ*)^n)`` both call it.
+        Each key is a canonical sorted ``(tape, value)`` tuple fixing
+        the machine's bound tapes (Lemma 3.1).  The distinct keys are
+        looked up once each in the ``generate`` cache; the misses are
+        computed in-process (specialize, then ``accepted_tuples``) or,
+        given an ``executor``, shipped to its pool as
+        :class:`~repro.parallel.tasks.GenerateShardTask` batches.
+        Either way the results are stored, so the cache counts do not
+        depend on where a miss was computed.  A worker-computed miss
+        with bound tapes also counts the ``specialize`` miss its worker
+        paid.
+
+        Args:
+            fsa: The generator machine.
+            cap: The generation bound passed to ``accepted_tuples``.
+            keys: The bindings, duplicates allowed.
+            executor: An optional
+                :class:`~repro.parallel.ParallelExecutor` computing the
+                misses.
+
+        Returns:
+            The answer set (tuples over the free tapes) of each
+            distinct key.
         """
+        answers: dict = dict.fromkeys(keys)
+        pending = []
+        for key in answers:
+            found = self._generate.peek((fsa, cap, key))
+            if found is None:
+                pending.append(key)
+            else:
+                answers[key] = found
+        tracer = current_tracer()
+        hits = len(answers) - len(pending)
+        if hits:
+            tracer.add("generate.cache_hits", hits)
+        if executor is not None:
+            executor.report.cache_hits += hits
+        if not pending:
+            return answers
+        depends = self._dep_context
+        if executor is None:
+            for key in pending:
+                answers[key] = self._generate.get_or_compute(
+                    (fsa, cap, key),
+                    partial(self._generate_miss, fsa, cap, key),
+                    depends=depends,
+                )
+            return answers
+        from repro.parallel.tasks import GenerateShardTask
+
+        results = executor.run(
+            [
+                GenerateShardTask(
+                    shard, fsa, cap, tuple(pending[shard.start : shard.stop])
+                )
+                for shard in executor.plan(len(pending))
+            ]
+        )
+        with tracer.span(
+            "fold.generate",
+            stage="fold",
+            shards=len(results),
+            bindings=len(pending),
+        ):
+            for pairs in results:
+                for position, found in pairs:
+                    key = pending[position]
+                    answers[key] = found
+                    self._generate.store(
+                        (fsa, cap, key), found, depends=depends
+                    )
+                    if key:
+                        self._specialize.stats.misses += 1
+        return answers
+
+    def _generate_miss(
+        self, fsa: "FSA", cap: int, key: "FixedItems"
+    ) -> frozenset[tuple[str, ...]]:
+        """One in-process generator run: specialize, then generate."""
         from repro.fsa.generate import accepted_tuples
 
-        fixed_key = tuple(sorted(fixed.items())) if fixed else ()
-
-        def generate() -> frozenset[tuple[str, ...]]:
-            # Specialize only on a generate miss, like the shard
-            # workers do, so the specialize cache reads the same at
-            # any worker count.
-            machine = self.specialized(fsa, fixed) if fixed else fsa
-            return self._staged(
-                "execute",
-                "execute.generate",
-                lambda: accepted_tuples(machine, max_length=max_length),
-            )()
-
-        return self._generate.get_or_compute(
-            (fsa, max_length, fixed_key),
-            generate,
-            depends=self._dep_context,
-        )
-
-    def peek_generated(
-        self,
-        fsa: "FSA",
-        max_length: int,
-        fixed_key: tuple[tuple[int, str], ...],
-    ) -> frozenset[tuple[str, ...]] | None:
-        """The cached :meth:`generated` answer set, or ``None``.
-
-        ``fixed_key`` is the canonical sorted-items form of the fixed
-        map.  The parallel layer uses this to count cache hits *before*
-        dispatching work to workers (which cannot see these caches).
-        """
-        return self._generate.peek((fsa, max_length, fixed_key))
-
-    def store_generated(
-        self,
-        fsa: "FSA",
-        max_length: int,
-        fixed_key: tuple[tuple[int, str], ...],
-        answers: frozenset[tuple[str, ...]],
-    ) -> None:
-        """Fold a worker-computed answer set back into the cache.
-
-        A non-empty ``fixed_key`` also counts as one ``specialize``
-        miss: the worker specialized the machine for it, exactly as
-        :meth:`generated` does on a miss, so ``--stats`` reads the same
-        at any worker count.
-        """
-        if fixed_key:
-            self._specialize.stats.misses += 1
-        self._generate.store(
-            (fsa, max_length, fixed_key), answers, depends=self._dep_context
-        )
+        machine = self.specialized(fsa, dict(key)) if key else fsa
+        return self._staged(
+            "execute",
+            "execute.generate",
+            lambda: accepted_tuples(machine, max_length=cap),
+        )()
 
     def limit_report(
         self, formula: "Formula", alphabet: Alphabet
@@ -316,23 +328,6 @@ class QueryEngine:
                     formula, alphabet, compiler=self.compile
                 ),
             ),
-        )
-
-    def translation(self, query: "Query") -> "Expression":
-        """The Theorem 4.2 algebra expression for ``query``, cached."""
-        from repro.algebra.translate import calculus_to_algebra
-
-        return self._translate.get_or_compute(
-            (query.formula, query.head, query.alphabet),
-            self._activated(
-                lambda: calculus_to_algebra(
-                    query.formula,
-                    query.head,
-                    query.alphabet,
-                    compiler=self.compile,
-                )
-            ),
-            depends=self._dep_context,
         )
 
     def query_plan(self, query: "Query", db: Database, cap: int):
@@ -462,9 +457,8 @@ class QueryEngine:
     def minimized_machine(self, fsa: "FSA") -> "FSA":
         """The bisimulation quotient of a bare machine, cached.
 
-        The machine-level sibling of :meth:`minimized` (which is keyed
-        by formula); the algebra evaluation route minimizes selection
-        machines through this entry.
+        The algebra evaluation route minimizes selection machines
+        through this entry.
         """
         from repro.fsa.minimize import bisimulation_quotient
 
@@ -522,10 +516,10 @@ class QueryEngine:
         """Evict cache entries that depended on the named relations.
 
         Only the relation-dependent caches are touched — generated
-        answer sets, normalized query plans, algebra translations and
-        the domain pool; compiled machines, kernels, specializations
-        and limit reports are pure functions of formulae and survive
-        every update.  Each eviction batch is recorded as a
+        answer sets, normalized query plans and the domain pool;
+        compiled machines, kernels, specializations, algebra
+        translations and limit reports are pure functions of formulae
+        and survive every update.  Each eviction batch is recorded as a
         ``cache.invalidate.<cache>`` counter.
 
         Args:
@@ -536,7 +530,7 @@ class QueryEngine:
         """
         tracer = self.tracer if self.tracer.enabled else current_tracer()
         evicted = 0
-        for cache in (self._generate, self._ir, self._translate):
+        for cache in (self._generate, self._ir):
             count = cache.invalidate_relations(names)
             if count:
                 tracer.add(f"cache.invalidate.{cache.name}", count)
@@ -711,17 +705,15 @@ class QueryEngine:
         engine: "str | Engine" = "auto",
         domain: Sequence[str] | None = None,
         workers: int | None = None,
-        shards: int | None = None,
         materialize: bool = False,
     ) -> frozenset[tuple[str, ...]]:
         """Evaluate one query through a registered strategy.
 
         ``engine`` is a registered name (``"naive"``, ``"algebra"``,
         ``"auto"``) or an :class:`Engine` object.
-        ``workers``/``shards`` configure strategies that support
-        sharded execution (``algebra`` and ``auto``) via their
-        ``configured`` hook; other strategies ignore the hint — the
-        answer set never depends on it.  See
+        ``workers`` configures strategies that pool work (``auto``)
+        via their ``configured`` hook; other strategies ignore the
+        hint — the answer set never depends on it.  See
         :meth:`repro.core.query.Query.evaluate` for the semantics of
         ``length`` and ``domain``.
 
@@ -756,10 +748,10 @@ class QueryEngine:
                     )
                     return answer
             strategy = get_engine(engine)
-            if workers is not None or shards is not None:
+            if workers is not None:
                 configured = getattr(strategy, "configured", None)
                 if configured is not None:
-                    strategy = configured(workers=workers, shards=shards)
+                    strategy = configured(workers=workers)
             fixed_domain = tuple(domain) if domain is not None else None
             started = perf_counter()
             tracer = self.tracer
@@ -791,7 +783,6 @@ class QueryEngine:
         length: int | None = None,
         engine: "str | Engine" = "auto",
         workers: int | None = None,
-        shards: int | None = None,
         materialize: bool = False,
     ) -> list[frozenset[tuple[str, ...]]]:
         """Evaluate a batch of queries against one database.
@@ -801,7 +792,7 @@ class QueryEngine:
         pre-resolves every member's truncation bound so the ``Σ^{<=l}``
         pool is enumerated at most once per alphabet, at the batch
         maximum, with each query's domain a prefix slice of it.
-        ``workers``/``shards`` and ``materialize`` are forwarded to
+        ``workers`` and ``materialize`` are forwarded to
         every member evaluation.  Results are returned in query order.
         """
         for query in queries:
@@ -819,7 +810,6 @@ class QueryEngine:
                 length=length,
                 engine=engine,
                 workers=workers,
-                shards=shards,
                 materialize=materialize,
             )
             for query in queries

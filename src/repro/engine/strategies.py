@@ -9,8 +9,8 @@ one answer, the truncated ``⟦φ⟧^l_db`` (Section 2):
 * ``naive``   — the reference model checker over ``domain^k``,
   evaluating the normalized plan's *simplified* formula;
 * ``algebra`` — Theorem 4.2 translation rewritten by the
-  :mod:`repro.ir.rewrite` passes, then expression evaluation
-  (sharding its selections across workers when configured);
+  :mod:`repro.ir.rewrite` passes, then in-process expression
+  evaluation;
 * ``auto``    — the production engine, the join-then-generate
   strategy of Eq. (6): it plans at the explicit ``length`` (else the
   certified bound) and executes the plan's conjunctive branches, each
@@ -30,9 +30,12 @@ calls ``session.note_rejection`` — exactly once per evaluation — so
 naive fallbacks are observable in ``--stats`` and as
 ``plan.reject.<reason>`` counters.
 
-``algebra`` and ``auto`` expose ``configured(workers=…, shards=…)``
+Only ``auto`` builds a worker pool.  It exposes ``configured(workers=…)``
 returning a parameterized copy; ``QueryEngine.evaluate(workers=…)``
-uses that hook, so unconfigured strategies keep working untouched.
+uses that hook, so the other strategies ignore the hint.  Every
+generator run, pooled or not, goes through
+``QueryEngine.generated``, so ``--stats`` reads the same at every
+worker count.
 
 Orthogonally to the strategy choice,
 ``QueryEngine.evaluate(materialize=True)`` keeps a
@@ -172,51 +175,11 @@ class NaiveEngine:
 class AlgebraEngine:
     """Theorem 4.2: translate once (cached), evaluate the expression.
 
-    When configured with ``workers > 1`` the expression's selections —
-    both generative ``σ_A(F × (Σ*)^n)`` row loops and plain acceptance
-    filters — are sharded across the process pool; the relational
-    operators stay in-process (they are unions/products over already
-    materialized sets).
+    Runs in-process: like ``naive`` it ignores the ``workers`` hint,
+    which never changes an answer.
     """
 
     name = "algebra"
-
-    def __init__(
-        self, workers: int | None = None, shards: int | None = None
-    ) -> None:
-        self.workers = workers
-        self.shards = shards
-
-    def configured(
-        self, workers: int | None = None, shards: int | None = None
-    ) -> "AlgebraEngine":
-        """Return a copy parameterized with worker/shard counts.
-
-        Args:
-            workers: Worker-process count, or ``None`` to keep the
-                current setting.
-            shards: Shard-count override, or ``None`` to keep the
-                current setting.
-
-        Returns:
-            A new :class:`AlgebraEngine` with the merged settings.
-        """
-        return AlgebraEngine(
-            workers if workers is not None else self.workers,
-            shards if shards is not None else self.shards,
-        )
-
-    def _executor(self, session: "QueryEngine") -> "ParallelExecutor | None":
-        if self.workers is None and self.shards is None:
-            return None
-        from repro.parallel.executor import ParallelExecutor
-        from repro.parallel.sharding import ShardPlanner
-
-        return ParallelExecutor(
-            self.workers,
-            planner=ShardPlanner(self.shards),
-            tracer=session.tracer,
-        )
 
     def evaluate(
         self,
@@ -250,15 +213,7 @@ class AlgebraEngine:
                 bound = _longest(domain)
             else:
                 bound = session.certified_length(query, db)
-        executor = self._executor(session)
-        try:
-            return evaluate_expression(
-                expression, db, length=bound, session=session,
-                executor=executor,
-            )
-        finally:
-            if executor is not None:
-                session.stats.record_parallel(executor.report)
+        return evaluate_expression(expression, db, bound, session)
 
 
 class AutoEngine:
@@ -272,37 +227,28 @@ class AutoEngine:
     generator runs across the pool when more than one worker is
     available, cheap branches stay in-process.  A naive plan root, or
     an explicit ``domain``, is checked with the reference semantics
-    over ``domain^k``, sharded past the same threshold.  Worker and
-    shard counts never change the answer set, only where it is
-    computed; with one worker no pool is ever built.
+    over ``domain^k``, sharded past the same threshold.  The worker
+    count never changes the answer set, only where it is computed;
+    with one worker no pool is ever built.  A pool plans
+    ``workers × OVERSHARD_FACTOR`` shards.
     """
 
     name = "auto"
 
-    def __init__(
-        self, workers: int | None = None, shards: int | None = None
-    ) -> None:
+    def __init__(self, workers: int | None = None) -> None:
         self.workers = workers
-        self.shards = shards
 
-    def configured(
-        self, workers: int | None = None, shards: int | None = None
-    ) -> "AutoEngine":
-        """Return a copy parameterized with worker/shard counts.
+    def configured(self, workers: int | None = None) -> "AutoEngine":
+        """Return a copy parameterized with a worker count.
 
         Args:
             workers: Worker-process count, or ``None`` to keep the
                 current setting.
-            shards: Shard-count override, or ``None`` to keep the
-                current setting.
 
         Returns:
-            A new :class:`AutoEngine` with the merged settings.
+            A new :class:`AutoEngine` with the merged setting.
         """
-        return AutoEngine(
-            workers if workers is not None else self.workers,
-            shards if shards is not None else self.shards,
-        )
+        return AutoEngine(workers if workers is not None else self.workers)
 
     def _pool(
         self, session: "QueryEngine", cost: float
@@ -318,11 +264,8 @@ class AutoEngine:
         if workers < 2:
             return None
         from repro.parallel.executor import ParallelExecutor
-        from repro.parallel.sharding import ShardPlanner
 
-        return ParallelExecutor(
-            workers, planner=ShardPlanner(self.shards), tracer=session.tracer
-        )
+        return ParallelExecutor(workers, tracer=session.tracer)
 
     def _execute_plan(
         self,
@@ -337,16 +280,14 @@ class AutoEngine:
             session, max(branch.est_cost for branch in plan.branches())
         )
         if executor is None:
-            return execute_plan(
-                plan, db, query.alphabet, cap, session=session
-            )
+            return execute_plan(plan, db, query.alphabet, cap, session)
         try:
             return execute_plan(
                 plan,
                 db,
                 query.alphabet,
                 cap,
-                session=session,
+                session,
                 executor_for=lambda branch: (
                     executor
                     if branch.est_cost >= AUTO_PARALLEL_THRESHOLD

@@ -53,12 +53,17 @@ from collections.abc import Callable, Sequence
 from functools import partial
 from itertools import compress
 from operator import itemgetter, not_
+from typing import TYPE_CHECKING
 
 from repro.core.alphabet import Alphabet
 from repro.core.database import Database
 from repro.core.syntax import RelAtom, Var
 from repro.errors import EvaluationError
 from repro.ir.plan import ConjunctivePlan, NaivePlan, PlanStep, QueryPlan
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.engine.session import QueryEngine
+    from repro.parallel.executor import ParallelExecutor
 
 #: The variables a branch's bindings hold, in tuple order.
 Schema = tuple[Var, ...]
@@ -178,17 +183,17 @@ def _filter_bound(
     bindings: list[Binding],
     literal: PlanStep,
     db: Database,
-    alphabet: Alphabet | None = None,
-    session=None,
+    alphabet: Alphabet,
+    session: "QueryEngine",
     restrict_rows: frozenset[tuple[str, ...]] | None = None,
 ) -> list[Binding]:
     """Keep the bindings on which the fully-bound literal holds.
 
     Relational atoms test membership against the database.  String
-    atoms run the compiled machine's integer acceptance kernel in one
-    batch when a ``session`` (and the query ``alphabet``) is available
-    — Theorem 3.1 makes machine acceptance coincide with formula
-    satisfaction — and fall back to the reference checker otherwise.
+    atoms run the session-compiled machine's acceptance kernel in one
+    batch — Theorem 3.1 makes machine acceptance coincide with formula
+    satisfaction; a closed string formula (no tapes) goes to the
+    reference checker.
 
     ``restrict_rows`` narrows a *positive* relational membership test
     to the given rows (the semi-naive maintenance hook); it is never
@@ -204,10 +209,8 @@ def _filter_bound(
             member = partial(db.contains, atom.name)
         held = map(member, _project(schema, atom.args, bindings))
     else:
-        compiled = None
-        if session is not None and alphabet is not None:
-            compiled = session.compile(atom.formula, alphabet)
-        if compiled is not None and compiled.variables:
+        compiled = session.compile(atom.formula, alphabet)
+        if compiled.variables:
             held = session.kernel(compiled.fsa).accepts_batch(
                 _project(schema, compiled.variables, bindings)
             )
@@ -227,59 +230,34 @@ def _generate(
     literal: PlanStep,
     alphabet: Alphabet,
     cap: int,
-    session=None,
-    executor=None,
+    session: "QueryEngine",
+    executor: "ParallelExecutor | None" = None,
 ) -> tuple[Schema, list[Binding]]:
     """Extend bindings with the literal's unbound variables via the
     compiled machine's output generation.
 
     The unbound variables are appended to the schema in tape order.
-    With a ``session`` (a :class:`repro.engine.QueryEngine`), the
-    compiled machine, its specializations on already-bound values, and
-    the generated answer sets are all served from the session's caches
-    — the generator-machine reuse that makes repeated traffic fast.
-    With an ``executor`` (a :class:`repro.parallel.ParallelExecutor`)
-    the per-binding generator runs — independent by construction — are
-    sharded across its worker pool, cache hits resolved in-process
-    first and worker results folded back into the session cache.
+    Each binding's bound tapes form one key of
+    :meth:`repro.engine.QueryEngine.generated`, which runs every
+    distinct key once — from the session's caches, in-process, or on
+    the ``executor``'s pool.
     """
-    from repro.fsa.compile import compile_string_formula
-    from repro.fsa.generate import accepted_tuples
-
-    if session is not None:
-        compiled = session.compile(literal.atom.formula, alphabet)
-    else:
-        compiled = compile_string_formula(literal.atom.formula, alphabet)
+    compiled = session.compile(literal.atom.formula, alphabet)
     fixed_tapes = [
         (compiled.tape_of(var), schema.index(var))
         for var in compiled.variables
         if var in schema
     ]
-    fixed_list = [
-        {tape: binding[index] for tape, index in fixed_tapes}
+    keys = [
+        tuple((tape, binding[index]) for tape, index in fixed_tapes)
         for binding in bindings
     ]
-    if executor is not None:
-        from repro.parallel.generation import generated_for_fixed
-
-        values_sets = generated_for_fixed(
-            compiled.fsa, cap, fixed_list, session=session, executor=executor
-        )
-    elif session is not None:
-        values_sets = [
-            session.generated(compiled.fsa, cap, fixed)
-            for fixed in fixed_list
-        ]
-    else:
-        values_sets = [
-            accepted_tuples(compiled.fsa, max_length=cap, fixed=fixed)
-            for fixed in fixed_list
-        ]
+    answers = session.generated(compiled.fsa, cap, keys, executor)
     free = tuple(var for var in compiled.variables if var not in schema)
     extended = dict.fromkeys(
         binding + values
-        for binding, values_set in zip(bindings, values_sets)
-        for values in values_set
+        for binding, key in zip(bindings, keys)
+        for values in answers[key]
     )
     return schema + free, list(extended)
 
@@ -290,8 +268,8 @@ def execute_branch(
     db: Database,
     alphabet: Alphabet,
     cap: int,
-    session=None,
-    executor=None,
+    session: "QueryEngine",
+    executor: "ParallelExecutor | None" = None,
     domain: tuple[str, ...] | None = None,
     restrict: "dict[int, frozenset[tuple[str, ...]]] | None" = None,
 ) -> frozenset[tuple[str, ...]]:
@@ -303,10 +281,10 @@ def execute_branch(
         db: The database.
         alphabet: The query alphabet.
         cap: The truncation / generation bound.
-        session: An optional :class:`repro.engine.QueryEngine` backing
-            compile / specialize / generate / domain caches.
+        session: The :class:`repro.engine.QueryEngine` backing the
+            compile / kernel / generate / domain caches.
         executor: An optional :class:`repro.parallel.ParallelExecutor`
-            sharding the generate steps.
+            running the generate steps' misses on its pool.
         domain: The padding domain for head variables the branch does
             not mention; defaults to ``Σ^{≤cap}``.
         restrict: Step-index → row-set overrides for positive
@@ -348,10 +326,7 @@ def execute_branch(
     if not branch.free_head:
         return projected
     if domain is None:
-        if session is not None:
-            domain = session.domain_for(alphabet, cap)
-        else:
-            domain = tuple(alphabet.strings(cap))
+        domain = session.domain_for(alphabet, cap)
     padded_order = branch.bound_head + branch.free_head
     order = [padded_order.index(var) for var in head]
     answers = set()
@@ -369,9 +344,10 @@ def execute_plan(
     db: Database,
     alphabet: Alphabet,
     cap: int,
-    session=None,
-    executor=None,
-    executor_for: Callable[[ConjunctivePlan], object] | None = None,
+    session: "QueryEngine",
+    executor_for: (
+        Callable[[ConjunctivePlan], ParallelExecutor | None] | None
+    ) = None,
     domain: tuple[str, ...] | None = None,
 ) -> frozenset[tuple[str, ...]]:
     """Execute a normalized plan and union the branch answers.
@@ -383,10 +359,9 @@ def execute_plan(
         db: The database.
         alphabet: The query alphabet.
         cap: The truncation / generation bound.
-        session: An optional engine session backing the caches.
-        executor: A parallel executor applied to every branch.
-        executor_for: A per-branch executor chooser; overrides
-            ``executor`` when given (return ``None`` for in-process).
+        session: The engine session backing the caches.
+        executor_for: An optional per-branch executor chooser (return
+            ``None`` to run a branch in-process).
         domain: The padding domain for unmentioned head variables;
             defaults to ``Σ^{≤cap}``.
 
@@ -407,7 +382,7 @@ def execute_plan(
     answers: set[tuple[str, ...]] = set()
     branches = plan.branches()
     for index, branch in enumerate(branches):
-        chosen = executor_for(branch) if executor_for is not None else executor
+        chosen = executor_for(branch) if executor_for is not None else None
         with tracer.span(
             "execute.branch",
             stage="execute",

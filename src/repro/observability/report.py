@@ -18,8 +18,8 @@ Build one with :meth:`TraceReport.build` (or, more commonly,
 * :meth:`TraceReport.describe` — the per-stage profile table behind
   ``--profile``;
 * :meth:`TraceReport.tree` — the indented span tree behind ``--trace``;
-* :meth:`TraceReport.summary` — the legacy cache/engine/parallel lines
-  previously printed by ``--stats``.
+* :meth:`TraceReport.summary` — the cache/engine/parallel lines
+  printed by ``--stats``.
 """
 
 from __future__ import annotations
@@ -231,22 +231,26 @@ class TraceReport:
         return "\n".join(lines)
 
     def summary(self) -> str:
-        """The legacy ``--stats`` lines: caches, engines, parallel, kernel.
+        """The ``--stats`` lines: caches, engines, rejects, parallel, kernel.
 
-        Format-compatible with ``EngineStats.describe()`` so existing
-        consumers (and tests) keep parsing it, with a trailing stage
-        line when span data is present.
+        One line per cache (with ``invalidated=N`` once a delta evicted
+        entries), per engine and per rejection reason, then the
+        parallel totals and kernel counters when present, and a
+        trailing span line when tracing was enabled.
         """
         lines = []
         for name in sorted(self.caches):
             data = self.caches[name]
             hits = data.get("hits", 0)
             misses = data.get("misses", 0)
-            lines.append(
+            line = (
                 f"cache {name:<10} hits={hits:<6} "
                 f"misses={misses:<6} hit_rate={data.get('hit_rate', 0.0):.0%} "
                 f"miss_seconds={data.get('seconds', 0.0):.4f}"
             )
+            if data.get("invalidated"):
+                line += f" invalidated={data['invalidated']}"
+            lines.append(line)
         for name in sorted(self.engines):
             data = self.engines[name]
             lines.append(

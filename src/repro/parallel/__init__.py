@@ -1,9 +1,9 @@
 """Process-pool sharded evaluation (:mod:`repro.parallel`).
 
-The paper's alignment-algebra semantics partition cleanly into
-independent shards — the ``Σ^{<=l}`` candidate space of the naive
-engine, the per-binding generator runs of the planner, the row loops
-of algebra selection.  This package supplies the pieces:
+The pool runs two kinds of independent work: the ``Σ^{<=l}`` candidate
+space of the reference semantics, and the generator runs of Definition
+3.1 (one Lemma 3.1 specialization per bound tuple).  This package
+supplies the pieces:
 
 * :class:`~repro.parallel.sharding.ShardPlanner` /
   :class:`~repro.parallel.sharding.Shard` — deterministic,
@@ -14,14 +14,14 @@ of algebra selection.  This package supplies the pieces:
 * :class:`~repro.parallel.executor.ParallelExecutor` — the
   ``concurrent.futures`` pool driver with per-shard timeouts, crash
   recovery, retry-with-re-splitting, a sequential fallback and the
-  :class:`~repro.parallel.executor.ExecutionReport` accounting;
-* :mod:`~repro.parallel.generation` — the cache-aware batch helpers
-  the plan executor and the algebra layer call into.
+  :class:`~repro.parallel.executor.ExecutionReport` accounting.
 
-The user-facing entry point is the ``workers=`` argument of
-``QueryEngine.evaluate``, which the ``auto`` and ``algebra`` engines
-of :mod:`repro.engine.strategies` honour; this package is
-engine-agnostic plumbing.
+Only the ``auto`` engine of :mod:`repro.engine.strategies` builds an
+executor, from the ``workers=`` argument of ``QueryEngine.evaluate``
+and its cost estimates.  Generator runs reach the pool through one
+place, ``QueryEngine.generated``, which serves cache hits first and
+stores what the workers return; this package is engine-agnostic
+plumbing.
 """
 
 from repro.parallel.executor import (
@@ -35,7 +35,6 @@ from repro.parallel.tasks import (
     ChaosPolicy,
     GenerateShardTask,
     NaiveShardTask,
-    SimulateShardTask,
 )
 
 __all__ = [
@@ -46,7 +45,6 @@ __all__ = [
     "ParallelExecutor",
     "Shard",
     "ShardPlanner",
-    "SimulateShardTask",
     "decode_candidate",
     "default_worker_count",
     "shutdown_pools",

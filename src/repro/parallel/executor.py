@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import os
 from collections import deque
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from contextlib import nullcontext
 from concurrent.futures import (
     FIRST_COMPLETED,
@@ -73,8 +73,8 @@ class ExecutionReport:
     ``task_seconds`` sums per-shard compute time across all workers —
     the CPU-time counterpart of ``wall_seconds``, so ``task_seconds /
     wall_seconds`` approximates achieved parallelism.  ``cache_hits``
-    counts shard-sized units of work served from session caches
-    instead of being dispatched at all.
+    counts distinct generator bindings served from the session's
+    ``generate`` cache instead of being dispatched at all.
     """
 
     mode: str = "sequential"
@@ -104,16 +104,6 @@ class ExecutionReport:
             "task_seconds": self.task_seconds,
             "cache_hits": self.cache_hits,
         }
-
-    def describe(self) -> str:
-        """The one-line human-readable summary used by ``--stats``."""
-        return (
-            f"parallel mode={self.mode} workers={self.workers} "
-            f"shards={self.shards_completed}/{self.shards_planned} "
-            f"retries={self.retries} resplits={self.resplits} "
-            f"timeouts={self.timeouts} cache_hits={self.cache_hits} "
-            f"wall={self.wall_seconds:.4f}s cpu={self.task_seconds:.4f}s"
-        )
 
 
 # -- shared worker pools ----------------------------------------------------
@@ -431,12 +421,3 @@ class ParallelExecutor:
         _discard_pool(self.workers, pool)
         return _shared_pool(self.workers)
 
-
-def run_sharded(
-    executor: ParallelExecutor,
-    total: int,
-    task_for_shard: Callable[[Any], Any],
-) -> list[Any]:
-    """Plan ``[0, total)`` and run one task per shard."""
-    shards = executor.plan(total)
-    return executor.run([task_for_shard(shard) for shard in shards])

@@ -4,20 +4,19 @@ Every task is a frozen dataclass over the library's immutable value
 objects (formulae, databases, machines), so it crosses the process
 boundary by ordinary pickling; the worker entry point
 :func:`execute_task` is a module-level function for the same reason.
-Three task kinds cover the parallel surface:
+Two task kinds cover the parallel surface:
 
 * :class:`NaiveShardTask` — a contiguous range of the naive engine's
   head-tuple candidate space ``domain^k``, decoded in the worker by
   mixed-radix indexing and filtered through the reference semantics;
-* :class:`GenerateShardTask` — a batch of Lemma 3.1 specializations of
-  one generator machine (the planner's and the algebra's
-  ``σ_A(F × (Σ*)^n)`` inner loop), one ``fixed`` binding per item;
-* :class:`SimulateShardTask` — a batch of acceptance checks of one
-  machine on concrete rows (the algebra's non-generative selection).
+* :class:`GenerateShardTask` — a batch of the generator runs of
+  Definition 3.1 (one Lemma 3.1 specialization of one machine per
+  ``fixed`` binding), the misses that
+  ``QueryEngine.generated`` ships to a pool.
 
-Results of the positional task kinds are ``(global_index, value)``
-pairs, so the parent can merge shard outputs without caring how the
-shards were split or re-split.
+Generate results are ``(global_index, answers)`` pairs, so the parent
+can merge shard outputs without caring how the shards were split or
+re-split.
 
 Databases ride along by value, but their storage backends control
 their own pickling: an artifact-backed
@@ -37,7 +36,6 @@ from __future__ import annotations
 
 import os
 import time
-from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from time import perf_counter
 from typing import TYPE_CHECKING, Any
@@ -50,6 +48,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.syntax import Formula, Var
     from repro.fsa.machine import FSA
 
+#: One generator binding: its bound tapes as sorted ``(tape, value)``
+#: pairs (hashable, picklable, the ``generate`` cache's key part).
 FixedItems = tuple[tuple[int, str], ...]
 
 
@@ -177,53 +177,6 @@ class GenerateShardTask:
             (self.shard.start + offset, answers)
             for offset, answers in enumerate(produced)
         )
-
-
-@dataclass(frozen=True)
-class SimulateShardTask:
-    """Acceptance checks of one machine on a slice of concrete rows."""
-
-    shard: Shard
-    fsa: "FSA"
-    rows: tuple[tuple[str, ...], ...]
-
-    def __post_init__(self) -> None:
-        if len(self.rows) != self.shard.size:
-            raise ParallelExecutionError(
-                f"simulate shard carries {len(self.rows)} rows "
-                f"for a size-{self.shard.size} range"
-            )
-
-    def narrowed(self, shard: Shard) -> "SimulateShardTask":
-        """A copy restricted to ``shard``, slicing the row batch."""
-        offset = shard.start - self.shard.start
-        return replace(
-            self,
-            shard=shard,
-            rows=self.rows[offset : offset + shard.size],
-        )
-
-    def run(self) -> tuple[tuple[int, bool], ...]:
-        """``(global position, accepted?)`` verdicts for the row batch.
-
-        The machine is compiled to its acceptance kernel once per
-        shard in the worker (:func:`repro.fsa.kernel.kernel_for`
-        caches it on the unpickled machine instance), so every row of
-        the batch runs on the same dense tables — the scan table for
-        in-fragment machines, the v1 dispatch table otherwise.
-        """
-        from repro.fsa.kernel import kernel_for
-
-        verdicts = kernel_for(self.fsa).accepts_batch(self.rows)
-        return tuple(
-            (self.shard.start + offset, verdict)
-            for offset, verdict in enumerate(verdicts)
-        )
-
-
-def fixed_items(fixed: Mapping[int, str] | None) -> FixedItems:
-    """Canonical (sorted, hashable, picklable) form of a ``fixed`` map."""
-    return tuple(sorted(fixed.items())) if fixed else ()
 
 
 #: The picklable trace payload a traced worker ships back with its

@@ -126,14 +126,12 @@ class ServiceClient:
         length: int | None,
         engine: str | None,
         workers: int | None,
-        shards: int | None,
     ) -> dict[str, Any]:
         params: dict[str, Any] = {"formula": formula, "head": list(head)}
         for key, value in (
             ("length", length),
             ("engine", engine),
             ("workers", workers),
-            ("shards", shards),
         ):
             if value is not None:
                 params[key] = value
@@ -147,7 +145,6 @@ class ServiceClient:
         length: int | None = None,
         engine: str | None = None,
         workers: int | None = None,
-        shards: int | None = None,
         deadline: float | None = None,
     ) -> list[tuple[str, ...]]:
         """Evaluate one query; rows come back sorted, as tuples.
@@ -159,7 +156,6 @@ class ServiceClient:
             length: Explicit truncation bound (``None`` = certified).
             engine: Engine name (``None`` = server default).
             workers: Worker processes for sharded evaluation.
-            shards: Shard count for sharded evaluation.
             deadline: Server-side deadline in seconds.
 
         Returns:
@@ -168,7 +164,7 @@ class ServiceClient:
         """
         result = self.call(
             "query",
-            self._query_params(formula, head, length, engine, workers, shards),
+            self._query_params(formula, head, length, engine, workers),
             deadline=deadline,
         )
         return rows_from_wire(result["rows"])
@@ -180,7 +176,6 @@ class ServiceClient:
         length: int | None = None,
         engine: str | None = None,
         workers: int | None = None,
-        shards: int | None = None,
         deadline: float | None = None,
     ) -> list[list[tuple[str, ...]]]:
         """Evaluate several ``(formula, head)`` pairs in one request.
@@ -193,7 +188,6 @@ class ServiceClient:
             length: Shared truncation bound for every member.
             engine: Shared engine name.
             workers: Shared worker count.
-            shards: Shared shard count.
             deadline: Server-side deadline for the whole batch.
 
         Returns:
@@ -209,7 +203,6 @@ class ServiceClient:
             ("length", length),
             ("engine", engine),
             ("workers", workers),
-            ("shards", shards),
         ):
             if value is not None:
                 params[key] = value
@@ -227,7 +220,7 @@ class ServiceClient:
         """The server-side ``--explain`` text for one query."""
         result = self.call(
             "explain",
-            self._query_params(formula, head, length, None, None, None),
+            self._query_params(formula, head, length, None, None),
             deadline=deadline,
         )
         return result["text"]

@@ -16,8 +16,8 @@ under a rare race is harmless) and bounds *concurrency* instead: a
 slot semaphore caps how many evaluations run at once, and a matching
 thread executor runs the blocking evaluation off the event loop.
 Queries that want intra-query parallelism still get it — the
-``auto``/``algebra`` engines shard big plans across the
-:mod:`repro.parallel` process pool from inside their slot.
+``auto`` engine shards big plans across the :mod:`repro.parallel`
+process pool from inside their slot.
 """
 
 from __future__ import annotations

@@ -156,7 +156,6 @@ class QueryService:
         default_workers: ``workers`` forwarded to evaluations that do
             not specify it (lets big plans shard via
             :mod:`repro.parallel`).
-        default_shards: Likewise for the shard count.
         report_log: Optional path; one JSON line per evaluated request
             — the :class:`~repro.observability.TraceReport` document
             wrapped as ``{"request": id, "op": ..., "report": {...}}``.
@@ -179,7 +178,6 @@ class QueryService:
         max_frame_bytes: int = MAX_FRAME_BYTES,
         default_engine: str = "auto",
         default_workers: int | None = None,
-        default_shards: int | None = None,
         report_log: str | None = None,
         on_report: Callable[[Any, str, TraceReport], None] | None = None,
     ) -> None:
@@ -194,7 +192,6 @@ class QueryService:
         self.max_frame_bytes = max_frame_bytes
         self.default_engine = default_engine
         self.default_workers = default_workers
-        self.default_shards = default_shards
         self.report_log = report_log
         self.on_report = on_report
         #: The service's own counters (``service.*``), plus evaluation
@@ -204,6 +201,8 @@ class QueryService:
         self._writers: set[asyncio.StreamWriter] = set()
         self._conn_tasks: set[asyncio.Task] = set()
         self._draining = False
+        # Requests read but not yet answered; drain waits for them.
+        self._responding = 0
         self._report_lock = threading.Lock()
 
     # -- lifecycle ------------------------------------------------------
@@ -238,13 +237,20 @@ class QueryService:
         New evaluation requests received while draining get a typed
         ``draining`` error; ``health`` keeps answering (reporting
         ``"draining"``) so load balancers can watch the wind-down.
-        Once the pool is idle every remaining connection is closed.
+        Once the pool is idle and the last responses are written,
+        every remaining connection is closed.
         """
         self._draining = True
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
         await self.pool.drain()
+        # A finished evaluation frees its slot before its response is
+        # written: give those responses up to a second to go out.
+        for _ in range(100):
+            if not self._responding:
+                break
+            await asyncio.sleep(0.01)
         for writer in tuple(self._writers):
             writer.close()
         self._writers.clear()
@@ -278,18 +284,22 @@ class QueryService:
             task.add_done_callback(self._conn_tasks.discard)
         try:
             async for kind, line in _frames(reader, self.max_frame_bytes):
-                if kind == "oversize":
-                    self.tracer.add("service.frame_too_large")
-                    response = error_response(
-                        None,
-                        ERR_FRAME_TOO_LARGE,
-                        f"frame exceeds the {self.max_frame_bytes}-byte "
-                        "limit; the line was discarded",
-                        limit=self.max_frame_bytes,
-                    )
-                else:
-                    response = await self._handle_line(line)
-                await self._send(writer, response)
+                self._responding += 1
+                try:
+                    if kind == "oversize":
+                        self.tracer.add("service.frame_too_large")
+                        response = error_response(
+                            None,
+                            ERR_FRAME_TOO_LARGE,
+                            f"frame exceeds the {self.max_frame_bytes}-byte "
+                            "limit; the line was discarded",
+                            limit=self.max_frame_bytes,
+                        )
+                    else:
+                        response = await self._handle_line(line)
+                    await self._send(writer, response)
+                finally:
+                    self._responding -= 1
         except (
             ConnectionResetError,
             BrokenPipeError,
@@ -503,7 +513,6 @@ class QueryService:
             "length": _positive_int(params, "length"),
             "engine": params.get("engine") or self.default_engine,
             "workers": _positive_int(params, "workers") or self.default_workers,
-            "shards": _positive_int(params, "shards") or self.default_shards,
         }
         if not isinstance(options["engine"], str):
             raise ServiceProtocolError("'engine' must be an engine name")
@@ -592,7 +601,7 @@ class QueryService:
                         "every batch member must be an object"
                     )
                 member = dict(entry)
-                for key in ("length", "engine", "workers", "shards"):
+                for key in ("length", "engine", "workers"):
                     member.setdefault(key, params.get(key))
                 members.append(self._parse_query(member))
 
@@ -621,7 +630,6 @@ class QueryService:
                         length=options["length"],
                         engine=options["engine"],
                         workers=options["workers"],
-                        shards=options["shards"],
                     )
                     results.append(rows_to_wire(answers))
                 tracer.add("service.batch_members", len(members))
@@ -674,7 +682,6 @@ class QueryService:
             length=options["length"],
             engine=options["engine"],
             workers=options["workers"],
-            shards=options["shards"],
         )
         elapsed = perf_counter() - started
         return {

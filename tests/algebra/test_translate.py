@@ -23,6 +23,7 @@ from repro.core.alphabet import AB
 from repro.core.database import Database
 from repro.core.semantics import evaluate_naive
 from repro.core.syntax import And, Exists, Not, exists, free_variables, lift, rel
+from repro.engine import QueryEngine
 from repro.errors import EvaluationError
 from repro.fsa.compile import compile_string_formula
 
@@ -43,18 +44,19 @@ def assert_agree(formula, head, length=2):
     domain = tuple(AB.strings(length))
     expected = evaluate_naive(formula, head, database, domain)
     expression = calculus_to_algebra(formula, head, AB)
-    got = evaluate_expression(expression, database, length)
+    got = evaluate_expression(expression, database, length, QueryEngine())
     assert got == expected, (formula, expected, got)
 
 
 class TestPartitioned:
     def test_equates_columns(self):
         expr = partitioned(Rel("R1", 2), [[0, 1]], AB)
-        assert evaluate_expression(expr, db(), 3) == {("ab",), ("b",)}
+        got = evaluate_expression(expr, db(), 3, QueryEngine())
+        assert got == {("ab",), ("b",)}
 
     def test_reorders_by_parts(self):
         expr = partitioned(Rel("R1", 2), [[1], [0]], AB)
-        got = evaluate_expression(expr, db(), 3)
+        got = evaluate_expression(expr, db(), 3, QueryEngine())
         assert ("b", "a") in got and ("a", "b") in got
 
     def test_partition_must_cover(self):
@@ -103,7 +105,7 @@ class TestCalculusToAlgebra:
     def test_head_reordering(self):
         phi = rel("R1", "x", "y")
         expr = calculus_to_algebra(phi, ("y", "x"), AB)
-        got = evaluate_expression(expr, db(), 2)
+        got = evaluate_expression(expr, db(), 2, QueryEngine())
         expected = {(v, u) for (u, v) in db().relation("R1")}
         assert got == expected
 
@@ -123,7 +125,9 @@ class TestAlgebraToCalculus:
         head = tuple(sorted(free_variables(formula)))
         # Columns are x1..xk: sorted order equals column order for k <= 9.
         domain = tuple(AB.strings(length))
-        expected = evaluate_expression(expression, database, length)
+        expected = evaluate_expression(
+            expression, database, length, QueryEngine()
+        )
         got = evaluate_naive(formula, head, database, domain)
         assert got == expected, (expression, expected, got)
 

@@ -10,6 +10,7 @@ _DETERMINIZE = importlib.import_module("repro.fsa.determinize")
 _KERNEL = importlib.import_module("repro.fsa.kernel")
 _STRATEGIES = importlib.import_module("repro.engine.strategies")
 _EXECUTOR = importlib.import_module("repro.parallel.executor")
+_SHARDING = importlib.import_module("repro.parallel.sharding")
 
 
 @pytest.fixture
@@ -34,22 +35,28 @@ def forced_v1(monkeypatch):
 
 @pytest.fixture
 def pooled(monkeypatch):
-    """Send all ``auto``/``algebra`` work at ``workers > 1`` to the pool.
+    """Send all ``auto`` work at ``workers > 1`` to the pool.
 
     Lowers ``AUTO_PARALLEL_THRESHOLD`` to 0 and every executor's
     ``min_parallel_items`` to 1, so tiny test workloads cross real
     process boundaries: each plan branch shards its generator runs and
     each naive candidate space is sharded.  Returns a dict whose
     entries (``chaos``, ``timeout``, ``max_retries``) are passed to
-    every executor built while the fixture is active.  At one worker
-    ``auto`` builds no executor at all.
+    every executor built while the fixture is active; a ``shards``
+    entry fixes the shard count (``planner=ShardPlanner(shards)``),
+    which the program itself always derives from the worker count.
+    At one worker ``auto`` builds no executor at all.
     """
     settings = {}
     build = _EXECUTOR.ParallelExecutor
 
     def executor(workers=None, **kwargs):
         kwargs["min_parallel_items"] = 1
-        kwargs.update(settings)
+        options = dict(settings)
+        shards = options.pop("shards", None)
+        if shards is not None:
+            kwargs["planner"] = _SHARDING.ShardPlanner(shards)
+        kwargs.update(options)
         return build(workers, **kwargs)
 
     monkeypatch.setattr(_STRATEGIES, "AUTO_PARALLEL_THRESHOLD", 0)

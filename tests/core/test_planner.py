@@ -47,7 +47,7 @@ def assert_matches_naive(formula, head, length=3):
     )
     plan = plan_for(formula, head, length)
     assert plan.fallback_reason is None, plan.fallback_reason
-    got = execute_plan(plan, database, AB, length)
+    got = execute_plan(plan, database, AB, length, QueryEngine())
     assert got == expected, (formula, expected, got)
 
 
@@ -138,12 +138,12 @@ class TestPlanner:
             ("a", "b", "b"),
             ("b", "ab", "a"),
         }
-        assert execute_plan(plan, database, AB, 2) == expected
+        assert execute_plan(plan, database, AB, 2, QueryEngine()) == expected
 
     def test_empty_result_short_circuits(self):
         formula = And(rel("Empty", "x"), lift(sh.constant("x", "a")))
         plan = plan_for(formula, ("x",))
-        assert execute_plan(plan, db(), AB, 3) == frozenset()
+        assert execute_plan(plan, db(), AB, 3, QueryEngine()) == frozenset()
 
     def test_query_planner_engine(self):
         q = Query(

@@ -144,6 +144,4 @@ def test_fixed_interleaving_full_matrix(kernels, workers, request):
         warm.evaluate(query, db, length=CAP, materialize=True)
     for op in _FIXED_OPS:
         db = warm.apply_delta(db, _to_delta(db, op))
-        _check(
-            warm, oracle, db, engines=ENGINES, workers=workers, shards=3
-        )
+        _check(warm, oracle, db, engines=ENGINES, workers=workers)

@@ -72,6 +72,14 @@ class TestSessionInvalidation:
         # ... while the pure machine cache was never touched: replaying
         # both queries against the new version compiles nothing new.
         assert caches["compile"].get("invalidated", 0) == 0
+        # --stats shows the evictions on the evicted caches' lines.
+        lines = {
+            line.split()[1]: line
+            for line in session.trace_report().summary().splitlines()
+            if line.startswith("cache ")
+        }
+        assert "invalidated=" in lines["ir"]
+        assert "invalidated=" not in lines["compile"]
         session.evaluate(_join_query(), db2, length=2, engine="auto")
         session.evaluate(_single_query(), db2, length=2, engine="auto")
         assert (

@@ -1,9 +1,10 @@
 """Tests for QueryEngine sessions: cache keying, stats, batching.
 
 Tests that evaluate run at explicit worker counts, so their cache
-counts cannot depend on the host's CPU count.  The one exception is
-the algebra kernel-cache test, whose default route runs in-process on
-every host.
+counts cannot depend on the host's CPU count.  The cache counts must
+not depend on the worker count either: ``TestStatsAcrossWorkers``
+checks that under the ``pooled`` fixture, which sends every ``auto``
+branch at two workers to the process pool.
 """
 
 import pytest
@@ -42,6 +43,13 @@ def generation_query() -> Query:
         ),
         AB,
     )
+
+
+def _cache_counts(session):
+    return {
+        name: (stats.hits, stats.misses)
+        for name, stats in session.stats.caches.items()
+    }
 
 
 class TestCacheKeying:
@@ -99,19 +107,21 @@ class TestCacheKeying:
             And(rel("R1", "x", "y"), lift(sh.prefix_of("x", "y"))),
             AB,
         )
-        # Without a worker count the algebra engine selects in-process
-        # on every host.  Explicit workers move the selections into
-        # shard tasks, whose kernel lookups the session cannot see.
         session = QueryEngine()
         first = session.evaluate(query, db(), length=4, engine="algebra")
         second = session.evaluate(query, db(), length=4, engine="algebra")
         assert first == second
         stats = session.stats.caches["kernel"]
-        assert stats.lookups > 0
-        for workers in WORKERS:
-            assert first == QueryEngine().evaluate(
+        assert stats.lookups == 2
+        # The algebra engine selects in-process at every worker count,
+        # so a single evaluation always reads one kernel lookup.
+        for workers in (None, *WORKERS):
+            fresh = QueryEngine()
+            assert first == fresh.evaluate(
                 query, db(), length=4, engine="algebra", workers=workers
             )
+            assert fresh.stats.caches["kernel"].lookups == 1
+            assert fresh.stats.parallel == {}
 
     def test_limit_reports_cached_including_negative(self):
         session = QueryEngine()
@@ -150,10 +160,7 @@ class TestWarmEvaluation:
             cold = session.evaluate(q, db(), workers=workers)
             warm = session.evaluate(q, db(), workers=workers)
             assert cold == warm
-            counts[workers] = {
-                name: (stats.hits, stats.misses)
-                for name, stats in session.stats.caches.items()
-            }
+            counts[workers] = _cache_counts(session)
         assert counts[1] == counts[2]
         caches = counts[1]
         assert caches["compile"][0] > 0
@@ -284,5 +291,37 @@ class TestStats:
             session.evaluate(
                 Query(("x",), rel("R2", "x"), AB), db(), workers=workers
             )
-            text = session.stats.describe()
+            text = session.trace_report().summary()
             assert "cache compile" in text and "engine auto" in text
+
+
+class TestStatsAcrossWorkers:
+    """``--stats`` reads the same at every worker count."""
+
+    def test_pooled_generate_counts_match_in_process(self, pooled):
+        # The generate step's bound tape y repeats (ab, ab, b): the
+        # session looks each distinct binding up once, pooled or not.
+        repeated = Database(
+            AB, {"R1": [("ab", "b"), ("ab", "a"), ("b", "a")]}
+        )
+        query = Query(
+            ("x",),
+            exists(
+                ["y", "z"],
+                And(rel("R1", "y", "z"), lift(sh.prefix_of("x", "y"))),
+            ),
+            AB,
+        )
+        counts = {}
+        for workers in WORKERS:
+            session = QueryEngine()
+            cold = session.evaluate(query, repeated, workers=workers)
+            warm = session.evaluate(query, repeated, workers=workers)
+            assert cold == warm == {("",), ("a",), ("ab",), ("b",)}
+            counts[workers] = _cache_counts(session)
+            # At two workers the cold misses run on the pool; the warm
+            # run is served from the cache.
+            pooled_runs = session.stats.parallel.get("pooled_runs", 0)
+            assert pooled_runs == (1 if workers > 1 else 0)
+        assert counts[1] == counts[2]
+        assert counts[1]["generate"] == (2, 2)

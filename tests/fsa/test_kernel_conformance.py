@@ -9,9 +9,8 @@ every worker count, the evaluated answer sets must be byte-identical
 column (the ``forced_v1`` fixture makes the determinizer decline
 in-process) runs the same matrix with every machine on the worklist
 kernel.  The file also checks that the machine
-picks the session's kernel, that the fixture reaches machines that
-already carry a scan kernel, and the pickling contract: scan tables
-survive the ``SimulateShardTask`` worker round trip.
+picks the session's kernel and that the fixture reaches machines that
+already carry a scan kernel.
 """
 
 import pytest
@@ -24,10 +23,7 @@ from repro.engine import QueryEngine
 from repro.fsa.compile import compile_string_formula
 from repro.fsa.determinize import DeterministicKernel
 from repro.fsa.kernel import CompiledKernel, kernel_for
-from repro.fsa.simulate import reference_accepts
 from repro.ir.execute import execute_plan
-from repro.parallel import ParallelExecutor
-from repro.parallel.generation import filter_accepted
 from repro.workloads.generators import (
     copy_language_strings,
     example_database,
@@ -163,15 +159,13 @@ def test_conformance_matrix(dbname, db, route, kernels, workers, request):
     else:
         session = _SESSION
     if route == "parallel":
-        request.getfixturevalue("pooled")
+        request.getfixturevalue("pooled")["shards"] = 3
     bound = db.max_string_length() + 1
     for qname, query in _queries(db.alphabet):
         reference = _reference(dbname, qname, query, db, bound)
         if route == "planner":
             plan = session.query_plan(query, db, bound)
-            answers = execute_plan(
-                plan, db, query.alphabet, bound, session=session
-            )
+            answers = execute_plan(plan, db, query.alphabet, bound, session)
         else:
             answers = session.evaluate(
                 query,
@@ -179,7 +173,6 @@ def test_conformance_matrix(dbname, db, route, kernels, workers, request):
                 length=bound,
                 engine="auto" if route == "parallel" else route,
                 workers=workers,
-                shards=3,
             )
         assert sorted(answers) == reference, (
             f"{dbname}/{qname}: route={route} kernels={kernels} "
@@ -212,20 +205,3 @@ def test_forced_v1_fixture_declines_in_process(request):
     # the worklist kernel too.
     assert isinstance(kernel_for(fsa), CompiledKernel)
     assert isinstance(QueryEngine().kernel(fsa), CompiledKernel)
-
-
-# -- worker round trip --------------------------------------------------
-
-
-def test_scan_tables_survive_the_worker_path():
-    """`SimulateShardTask` ships machines, not tables: verdicts from a
-    2-worker pool must match the reference."""
-    fsa = _equals_machine()
-    rows = [
-        (u, v) for u in AB.strings(2) for v in AB.strings(2)
-    ]
-    expected = frozenset(
-        row for row in rows if reference_accepts(fsa, row)
-    )
-    executor = ParallelExecutor(workers=2, min_parallel_items=1)
-    assert filter_accepted(fsa, rows, executor=executor) == expected

@@ -173,7 +173,9 @@ def test_plan_route_matches_unoptimized_naive(generator, seed, cap):
         assert plan.fallback_reason is None, (
             f"{generator}/{name}: expected an executable plan"
         )
-        got = execute_plan(plan, db, db.alphabet, cap, domain=domain)
+        got = execute_plan(
+            plan, db, db.alphabet, cap, QueryEngine(), domain=domain
+        )
         assert got == _oracle(query, db, cap), (
             f"{generator}/{name}: plan route diverged (seed={seed})"
         )
@@ -195,7 +197,7 @@ def test_optimized_algebra_matches_unoptimized_naive(generator, seed):
             expression, _ = session.optimized_translation(query)
         except EvaluationError:
             continue  # head ≠ free variables: not algebra-translatable
-        got = evaluate_expression(expression, db, cap, session=session)
+        got = evaluate_expression(expression, db, cap, session)
         assert got == _oracle(query, db, cap), (
             f"{generator}/{name}: optimized algebra diverged (seed={seed})"
         )
@@ -210,6 +212,7 @@ def test_engines_match_oracle_across_worker_counts(
 ):
     """The plan-consuming engines agree with the oracle at every
     worker count; the ``pooled`` fixture forces real pool dispatch."""
+    pooled["shards"] = 3
     db = GENERATORS[generator](seed=42)
     cap = 2
     for name, query in QUERIES:
@@ -217,8 +220,7 @@ def test_engines_match_oracle_across_worker_counts(
         for engine in ("naive", "auto"):
             got = sorted(
                 _SESSION.evaluate(
-                    query, db, length=cap, engine=engine, workers=workers,
-                    shards=3,
+                    query, db, length=cap, engine=engine, workers=workers
                 )
             )
             assert got == expected, (

@@ -47,7 +47,7 @@ def machine(formula, variables=("x", "y")):
 
 
 def answers(expression, length=3):
-    return evaluate_expression(expression, db(), length)
+    return evaluate_expression(expression, db(), length, QueryEngine())
 
 
 class TestSequencingProduct:
@@ -218,6 +218,6 @@ class TestTranslateBranches:
             for pad in AB.strings(2)
         }
         assert (
-            evaluate_expression(branched, db(), 2)
+            evaluate_expression(branched, db(), 2, QueryEngine())
             == frozenset(expected)
         )

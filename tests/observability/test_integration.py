@@ -25,6 +25,13 @@ def db():
     return example_database(AB, seed=3, size=4, max_length=3)
 
 
+@pytest.fixture()
+def pooled(pooled):
+    """The shared ``pooled`` fixture, planning four shards per pool."""
+    pooled["shards"] = 4
+    return pooled
+
+
 def _prefix_query():
     return Query(
         ("x", "y"),
@@ -49,7 +56,7 @@ def _concat_query():
 
 def _pooled(workers=2):
     """``evaluate`` keywords for a pooled run (with the ``pooled`` fixture)."""
-    return {"workers": workers, "shards": 4}
+    return {"workers": workers}
 
 
 class TestStageCoverage:

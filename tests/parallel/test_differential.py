@@ -4,7 +4,9 @@ The parallel layer's contract is exact answer equality: for every
 workload generator, every worker count and every shard count, the
 sharded ``auto`` evaluation must return the same answer set — compared
 as sorted tuples — as the ``naive`` and ``algebra`` engines and
-in-process ``auto``.  Both parallel regimes are exercised:
+in-process ``auto``.  The program derives the shard count from the
+worker count; the tests fix it through the ``pooled`` fixture's
+``shards`` entry.  Both parallel regimes are exercised:
 
 * plan-shaped queries (explicit ``length``) shard their generator
   runs;
@@ -144,15 +146,14 @@ def _parallel_totals(session):
 def test_parallel_matches_every_sequential_engine(
     dbname, db, workers, shards, pooled
 ):
+    pooled["shards"] = shards
     bound = db.max_string_length() + 1
     before = _parallel_totals(_SESSION)
     queries = list(_queries(db.alphabet))
     for qname, query in queries:
         refs = _references(dbname, qname, query, db, bound)
         got = sorted(
-            _SESSION.evaluate(
-                query, db, length=bound, workers=workers, shards=shards
-            )
+            _SESSION.evaluate(query, db, length=bound, workers=workers)
         )
         for name in REFERENCE_ENGINES:
             assert got == refs[name], (
@@ -170,6 +171,7 @@ def test_parallel_matches_every_sequential_engine(
 def test_parallel_naive_shard_path_matches_reference(workers, shards, pooled):
     """Explicit domains force candidate-space sharding; answers must
     still match the naive reference over the same domain."""
+    pooled["shards"] = shards
     _, db = DATABASES[0]
     bound = 3
     domain = _SESSION.domain_for(AB, bound)
@@ -180,11 +182,7 @@ def test_parallel_naive_shard_path_matches_reference(workers, shards, pooled):
             _SESSION.evaluate(query, db, domain=domain, engine="naive")
         )
         session = QueryEngine()
-        got = sorted(
-            session.evaluate(
-                query, db, domain=domain, workers=workers, shards=shards
-            )
-        )
+        got = sorted(session.evaluate(query, db, domain=domain, workers=workers))
         assert got == reference, (
             f"{qname}: naive-shard auto(workers={workers}, "
             f"shards={shards}) disagrees with naive"
@@ -200,20 +198,20 @@ def test_parallel_naive_shard_path_matches_reference(workers, shards, pooled):
 def test_cold_parallel_session_matches_warm(pooled):
     """A fresh session (empty caches) agrees with the warmed-up module
     session — sharding must not depend on cache state."""
+    pooled["shards"] = 3
     dbname, db = DATABASES[1]
     bound = db.max_string_length() + 1
     for qname, query in _queries(db.alphabet):
         refs = _references(dbname, qname, query, db, bound)
         cold = QueryEngine()
-        got = sorted(
-            cold.evaluate(query, db, length=bound, workers=2, shards=3)
-        )
+        got = sorted(cold.evaluate(query, db, length=bound, workers=2))
         assert got == refs["naive"], f"{qname}: cold session disagrees"
 
 
 def test_parallel_certified_bound_matches_auto(pooled):
     """With no explicit truncation, pooled auto derives the certified
     bound and must agree with in-process auto."""
+    pooled["shards"] = 3
     _, db = DATABASES[0]
     for qname, query in _queries(AB):
         if qname == "negated-filter":
@@ -221,27 +219,28 @@ def test_parallel_certified_bound_matches_auto(pooled):
         sequential = sorted(
             _SESSION.evaluate(query, db, engine="auto", workers=1)
         )
-        got = sorted(_SESSION.evaluate(query, db, workers=2, shards=3))
+        got = sorted(_SESSION.evaluate(query, db, workers=2))
         assert got == sequential, f"{qname}: certified-bound disagreement"
 
 
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
 def test_algebra_engine_with_workers_matches_sequential(workers):
-    """The algebra engine's sharded selections are also differential:
-    worker counts never change db(E ↓ l)."""
+    """The algebra engine ignores the worker hint: at every worker
+    count it computes the same db(E ↓ l) in-process."""
     dbname, db = DATABASES[2]
     bound = db.max_string_length() + 1
     for qname, query in _queries(db.alphabet):
         refs = _references(dbname, qname, query, db, bound)
+        before = _parallel_totals(_SESSION)
         got = sorted(
             _SESSION.evaluate(
-                query, db, length=bound, engine="algebra",
-                workers=workers, shards=3,
+                query, db, length=bound, engine="algebra", workers=workers
             )
         )
         assert got == refs["algebra"], (
             f"{qname}: algebra workers={workers} disagrees"
         )
+        assert _parallel_totals(_SESSION) == before, "algebra built a pool"
 
 
 @pytest.mark.parametrize("workers", (2, 4))

@@ -12,8 +12,9 @@ from repro.core import shorthands as sh
 from repro.core.alphabet import AB
 from repro.core.query import Query
 from repro.core.syntax import And, exists, lift, rel
-from repro.engine import QueryEngine
+from repro.engine import EngineStats, QueryEngine
 from repro.engine import strategies
+from repro.observability import NULL_TRACER, TraceReport
 from repro.parallel import (
     NaiveShardTask,
     ParallelExecutor,
@@ -113,36 +114,38 @@ class TestExecutionReport:
         assert report.shards_completed == 3
         assert report.retries == 0
         assert report.wall_seconds > 0.0
-        text = report.describe()
-        assert "workers=2" in text and "shards=3/3" in text
+        stats = EngineStats()
+        stats.record_parallel(report)
+        text = TraceReport.build(NULL_TRACER, stats).summary()
+        assert "parallel runs=1 shards=3/3" in text
         snapshot = report.snapshot()
         assert snapshot["shards_completed"] == 3
 
     def test_session_stats_accumulate_reports(self, db, pooled):
+        pooled["shards"] = 3
         session = QueryEngine()
         domain = session.domain_for(AB, 2)
         for _ in range(2):
-            session.evaluate(
-                _prefix_query(), db, domain=domain, workers=2, shards=3
-            )
+            session.evaluate(_prefix_query(), db, domain=domain, workers=2)
         totals = session.stats.snapshot()["parallel"]
         assert totals["runs"] == 2
         assert totals["pooled_runs"] == 2
         assert totals["shards_completed"] == 6
-        assert "parallel runs=2" in session.stats.describe()
+        assert "parallel runs=2" in session.trace_report().summary()
 
     def test_worker_results_fold_back_into_session_cache(self, db, pooled):
         """Second run of a generate-shaped query is served from the
         session cache: the report shows hits and no live shards."""
+        pooled["shards"] = 3
         session = QueryEngine()
         query = _concat_query()
         bound = db.max_string_length() + 1
 
-        cold = session.evaluate(query, db, length=bound, workers=2, shards=3)
+        cold = session.evaluate(query, db, length=bound, workers=2)
         first = dict(session.stats.snapshot()["parallel"])
         assert first["cache_hits"] == 0
 
-        warm = session.evaluate(query, db, length=bound, workers=2, shards=3)
+        warm = session.evaluate(query, db, length=bound, workers=2)
         second = session.stats.snapshot()["parallel"]
         assert warm == cold
         assert second["cache_hits"] > 0
@@ -151,12 +154,11 @@ class TestExecutionReport:
 
 class TestSessionIntegration:
     def test_evaluate_many_with_workers_matches_individual(self, db, pooled):
+        pooled["shards"] = 3
         session = QueryEngine()
         queries = [_prefix_query(), _concat_query()]
         bound = db.max_string_length() + 1
-        batch = session.evaluate_many(
-            queries, db, length=bound, workers=2, shards=3
-        )
+        batch = session.evaluate_many(queries, db, length=bound, workers=2)
         individual = [
             session.evaluate(q, db, length=bound, engine="naive")
             for q in queries

@@ -119,7 +119,8 @@ class TestServeCommand:
         db_path.write_text(
             json.dumps({"R2": [["a"], ["ab"], ["b"]]})
         )
-        process = subprocess.Popen(
+        # The with-block closes the stderr pipe on every exit path.
+        with subprocess.Popen(
             [
                 sys.executable, "-m", "repro.cli", "serve",
                 "--alphabet", "ab", "--db", str(db_path),
@@ -128,22 +129,22 @@ class TestServeCommand:
             env={"PYTHONPATH": REPO_SRC, "PATH": "/usr/bin:/bin"},
             stderr=subprocess.PIPE,
             text=True,
-        )
-        try:
-            banner = process.stderr.readline()
-            match = re.search(r"on 127\.0\.0\.1:(\d+)", banner)
-            assert match, f"no port announcement in {banner!r}"
-            port = int(match.group(1))
-            with ServiceClient("127.0.0.1", port) as client:
-                rows = client.query("R2(x)", ["x"], length=3)
-            assert rows == [("a",), ("ab",), ("b",)]
-            process.send_signal(signal.SIGTERM)
-            process.wait(timeout=15.0)
-            remainder = process.stderr.read()
-            assert process.returncode == 0
-            assert "-- draining" in remainder
-            assert "-- drained, bye" in remainder
-        finally:
-            if process.poll() is None:  # pragma: no cover - cleanup
-                process.kill()
-                process.wait()
+        ) as process:
+            try:
+                banner = process.stderr.readline()
+                match = re.search(r"on 127\.0\.0\.1:(\d+)", banner)
+                assert match, f"no port announcement in {banner!r}"
+                port = int(match.group(1))
+                with ServiceClient("127.0.0.1", port) as client:
+                    rows = client.query("R2(x)", ["x"], length=3)
+                assert rows == [("a",), ("ab",), ("b",)]
+                process.send_signal(signal.SIGTERM)
+                process.wait(timeout=15.0)
+                remainder = process.stderr.read()
+                assert process.returncode == 0
+                assert "-- draining" in remainder
+                assert "-- drained, bye" in remainder
+            finally:
+                if process.poll() is None:  # pragma: no cover - cleanup
+                    process.kill()
+                    process.wait()

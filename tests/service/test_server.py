@@ -75,6 +75,18 @@ class TestHappyPath:
         assert result["elapsed"] >= 0
         assert result["est_cost"] is None or result["est_cost"] > 0
 
+    def test_params_the_server_does_not_read_are_ignored(self, server):
+        # Older clients still send a ``shards`` hint; it changes nothing.
+        _, client = server
+        params = {"formula": "R2(x)", "head": ["x"], "length": 3}
+        for extra in ({"shards": 3}, {"workers": 2, "shards": 1}):
+            result = client.call("query", {**params, **extra})
+            assert result["rows"] == [["a"], ["ab"], ["b"]]
+        (members,) = client.call(
+            "batch", {"queries": [params], "shards": 3}
+        )["results"]
+        assert members == [["a"], ["ab"], ["b"]]
+
     def test_explain(self, server):
         _, client = server
         text = client.explain("R2(x)", ["x"], length=3)

@@ -166,14 +166,13 @@ def test_workers_agree_over_compressed_storage(
     """Shard workers re-intern pickled grammars and still agree."""
     if kernels == "v1":
         request.getfixturevalue("forced_v1")
+    pooled["shards"] = 2
     db = GENERATORS["example"](7)
     compressed = db.with_storage("slp")
     session = QueryEngine()
     for name, query in _queries(db.alphabet):
         want = session.evaluate(query, db, length=2, engine="naive")
-        got = session.evaluate(
-            query, compressed, length=2, workers=workers, shards=2
-        )
+        got = session.evaluate(query, compressed, length=2, workers=workers)
         assert got == want, (
             f"{name}: auto(workers={workers}, kernels={kernels}) "
             f"diverged over slp storage"

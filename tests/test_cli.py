@@ -127,8 +127,6 @@ class TestQuery:
                 "auto",
                 "--workers",
                 "2",
-                "--shards",
-                "3",
                 "--stats",
                 "R2(x) & [x]l(x = 'a')",
             ]
@@ -265,8 +263,6 @@ class TestObservabilityFlags:
             "auto",
             "--workers",
             "2",
-            "--shards",
-            "3",
             "--metrics-out",
             str(path),
         )

@@ -192,10 +192,8 @@ class TestParallelFaultInjection:
         from repro.parallel import ChaosPolicy
 
         session, query, db, domain, reference = self._setup()
-        pooled["chaos"] = ChaosPolicy(fail_generations=(0,))
-        answers = session.evaluate(
-            query, db, domain=domain, workers=2, shards=3
-        )
+        pooled.update(shards=3, chaos=ChaosPolicy(fail_generations=(0,)))
+        answers = session.evaluate(query, db, domain=domain, workers=2)
         assert answers == reference
         report = self._report(session)
         assert report["retries"] == 3 and report["resplits"] == 3
@@ -209,14 +207,13 @@ class TestParallelFaultInjection:
 
         session, query, db, domain, reference = self._setup()
         pooled.update(
+            shards=2,
             timeout=0.2,
             chaos=ChaosPolicy(
                 hang_generations=(0,), only_indices=(0,), hang_seconds=5.0
             ),
         )
-        answers = session.evaluate(
-            query, db, domain=domain, workers=2, shards=2
-        )
+        answers = session.evaluate(query, db, domain=domain, workers=2)
         assert answers == reference
         report = self._report(session)
         assert report["timeouts"] >= 1
@@ -226,12 +223,11 @@ class TestParallelFaultInjection:
         from repro.parallel import ChaosPolicy
 
         session, query, db, domain, reference = self._setup()
-        pooled["chaos"] = ChaosPolicy(
-            crash_generations=(0,), only_indices=(0,)
+        pooled.update(
+            shards=3,
+            chaos=ChaosPolicy(crash_generations=(0,), only_indices=(0,)),
         )
-        answers = session.evaluate(
-            query, db, domain=domain, workers=2, shards=3
-        )
+        answers = session.evaluate(query, db, domain=domain, workers=2)
         assert answers == reference
         assert self._report(session)["resplits"] >= 1
 
@@ -241,10 +237,12 @@ class TestParallelFaultInjection:
 
         session, query, db, domain, _ = self._setup()
         pooled.update(
-            max_retries=1, chaos=ChaosPolicy(fail_generations=(0, 1, 2, 3))
+            shards=2,
+            max_retries=1,
+            chaos=ChaosPolicy(fail_generations=(0, 1, 2, 3)),
         )
         with pytest.raises(ParallelExecutionError):
-            session.evaluate(query, db, domain=domain, workers=2, shards=2)
+            session.evaluate(query, db, domain=domain, workers=2)
 
     def test_exhausted_timeouts_raise_shard_timeout_error(self, pooled):
         from repro.errors import ParallelExecutionError, ShardTimeoutError
@@ -252,12 +250,13 @@ class TestParallelFaultInjection:
 
         session, query, db, domain, _ = self._setup()
         pooled.update(
+            shards=1,
             timeout=0.15,
             max_retries=0,
             chaos=ChaosPolicy(hang_generations=(0,), hang_seconds=5.0),
         )
         with pytest.raises(ShardTimeoutError):
-            session.evaluate(query, db, domain=domain, workers=2, shards=1)
+            session.evaluate(query, db, domain=domain, workers=2)
         assert issubclass(ShardTimeoutError, ParallelExecutionError)
 
     def test_sequential_chaos_stays_in_process(self):
