@@ -3,9 +3,9 @@
 One update-then-query loop over a 100k-row DNA relation: each
 iteration inserts a handful of fresh rows (some carrying the planted
 ``gcgcgc`` motif) and re-asks the same selection query.  The warm
-session applies the delta through ``apply_delta`` — dependency-scoped
-invalidation plus semi-naive maintenance of the materialized answer
-restricted to the inserted rows — while the from-scratch baseline
+session applies the delta through ``apply_delta`` — semi-naive
+maintenance of the materialized answer restricted to the inserted
+rows, with every session cache kept warm — while the from-scratch baseline
 rebuilds the answer with a cold session on the same database version.
 Byte-equality is asserted every iteration; the ≥3× speedup assertion
 makes this file the harness row for the incremental-evaluation

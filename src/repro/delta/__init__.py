@@ -6,10 +6,10 @@ as an immutable value — and it stays one.  A mutation is a *derivation*:
 ``Database.apply(delta)`` returns a **new** database version whose
 per-relation version counters moved forward, storage backends derive
 updated indexes through their ``apply_delta`` hooks, and the engine
-session (:meth:`repro.engine.QueryEngine.apply_delta`) evicts exactly
-the cache entries that depended on the touched relations while
-incrementally maintaining its materialized answers
-(:class:`MaterializedStore`).
+session (:meth:`repro.engine.QueryEngine.apply_delta`) incrementally
+maintains its materialized answers (:class:`MaterializedStore`).  The
+session caches need no eviction: their keys hold every input, and a
+plan priced against old statistics is replaced on its next lookup.
 
 :class:`DeltaLog` is the batching API: accumulate inserts and deletes
 in arrival order, then :meth:`~DeltaLog.build` the net-effect

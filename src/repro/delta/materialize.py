@@ -47,8 +47,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.database import Database
     from repro.ir.plan import ConjunctivePlan, QueryPlan
 
-#: Default bound on retained materialized answers (oldest evicted first).
-DEFAULT_MAX_ENTRIES = 256
+#: Bound on retained materialized answers (oldest evicted first).
+MAX_ENTRIES = 256
 
 
 @dataclass
@@ -137,7 +137,6 @@ class MaterializedStore:
 
     name: str = "materialize"
     stats: CacheStats = field(default_factory=CacheStats)
-    max_entries: int = DEFAULT_MAX_ENTRIES
     _entries: dict[Hashable, MaterializedAnswer] = field(default_factory=dict)
 
     def lookup(self, key: Hashable, db: "Database") -> MaterializedAnswer | None:
@@ -162,7 +161,7 @@ class MaterializedStore:
         """Store ``entry``, evicting the oldest entry when full."""
         if (
             entry.key not in self._entries
-            and len(self._entries) >= self.max_entries
+            and len(self._entries) >= MAX_ENTRIES
         ):
             self._entries.pop(next(iter(self._entries)))
         self._entries[entry.key] = entry

@@ -13,17 +13,19 @@ reuse instead of guessing at it.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Hashable, Iterable
+from collections.abc import Callable, Hashable
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any
 
-_MISSING = object()
-
 
 @dataclass
 class CacheStats:
-    """Hit/miss counters plus time spent computing misses."""
+    """Hit/miss counters plus time spent computing misses.
+
+    ``invalidated`` counts the stamped entries replaced in place (see
+    :class:`KeyedCache`).
+    """
 
     hits: int = 0
     misses: int = 0
@@ -46,7 +48,7 @@ class CacheStats:
 
         Returns:
             A JSON-friendly dict with the counter values (``hit_rate``
-            rounded to four decimals) plus the invalidation count.
+            rounded to four decimals) plus the replacement count.
         """
         return {
             "hits": self.hits,
@@ -66,30 +68,30 @@ class KeyedCache:
     are cached like any other result (limit reports legitimately derive
     to "no bound certifiable").
 
-    Entries may carry *relation dependencies* — the ``(name, version)``
-    pairs of the database relations they were computed against — via
-    the ``depends`` argument of :meth:`get_or_compute` / :meth:`store`.
-    :meth:`invalidate_relations` then evicts exactly the entries whose
-    dependencies intersect an updated relation set, so a delta to one
-    relation leaves entries for every other relation warm.  Entries
-    stored without dependencies (compiled machines, specializations —
-    pure functions of the formula) are never invalidated.
+    The key holds every input the value is computed from, so no entry
+    ever goes stale.  A cache whose values also depend on inputs that
+    move under updates (the normalized plan, priced against the
+    database's statistics) passes those inputs as a ``stamp`` instead:
+    the cache keeps one entry per key, and a lookup under another
+    stamp recomputes the value and replaces the entry in place,
+    counting the replacement in ``stats.invalidated``.  Unstamped
+    entries carry the stamp ``None``.
     """
 
-    __slots__ = ("name", "stats", "_store", "_max_entries", "_depends")
+    __slots__ = ("name", "stats", "_store", "_max_entries")
 
     def __init__(self, name: str, max_entries: int | None = None) -> None:
         self.name = name
         self.stats = CacheStats()
-        self._store: dict[Hashable, Any] = {}
+        # key -> (stamp, value)
+        self._store: dict[Hashable, tuple[Hashable, Any]] = {}
         self._max_entries = max_entries
-        self._depends: dict[Hashable, tuple[tuple[str, int], ...]] = {}
 
     def get_or_compute(
         self,
         key: Hashable,
         compute: Callable[[], Any],
-        depends: tuple[tuple[str, int], ...] | None = None,
+        stamp: Hashable = None,
     ) -> Any:
         """Return the cached value for ``key``, computing it on a miss.
 
@@ -97,26 +99,28 @@ class KeyedCache:
             key: The (hashable, structural) cache key.
             compute: Zero-argument callable producing the value; its
                 wall-clock time is accounted as miss seconds.
-            depends: Optional ``(relation, version)`` dependencies
-                recorded on a miss, consumed by
-                :meth:`invalidate_relations`.
+            stamp: The inputs the value depends on beyond ``key``; an
+                entry stored under another stamp is recomputed and
+                replaced.
 
         Returns:
             The cached or freshly computed value.
         """
-        value = self._store.get(key, _MISSING)
-        if value is not _MISSING:
+        entry = self._store.get(key)
+        if entry is not None and entry[0] == stamp:
             self.stats.hits += 1
-            return value
+            return entry[1]
         started = perf_counter()
         value = compute()
         self.stats.seconds += perf_counter() - started
         self.stats.misses += 1
-        self._insert(key, value, depends)
+        if entry is not None:
+            self.stats.invalidated += 1
+        self._insert(key, (stamp, value))
         return value
 
     def peek(self, key: Hashable, default: Any = None) -> Any:
-        """Look up ``key`` without computing on a miss.
+        """Look up an unstamped ``key`` without computing on a miss.
 
         A present key counts as a hit; an absent key counts nothing —
         the caller is expected to come back through
@@ -124,75 +128,33 @@ class KeyedCache:
         ``QueryEngine.generated`` uses it to split "served from cache"
         from "computed", in-process or by a worker.
         """
-        value = self._store.get(key, _MISSING)
-        if value is _MISSING:
+        entry = self._store.get(key)
+        if entry is None:
             return default
         self.stats.hits += 1
-        return value
+        return entry[1]
 
-    def store(
-        self,
-        key: Hashable,
-        value: Any,
-        seconds: float = 0.0,
-        depends: tuple[tuple[str, int], ...] | None = None,
-    ) -> Any:
-        """Insert an externally computed value (a worker's result).
+    def store(self, key: Hashable, value: Any, seconds: float = 0.0) -> Any:
+        """Insert an externally computed, unstamped value (a worker's).
 
         Accounted as a miss — the value *was* computed, just not by
         this process — with ``seconds`` of compute time attributed.
-        Re-storing an existing key refreshes the value (and its
-        recorded dependencies).
+        Re-storing an existing key refreshes the value.
         """
         if key not in self._store:
             self.stats.misses += 1
             self.stats.seconds += seconds
-        self._insert(key, value, depends)
+        self._insert(key, (None, value))
         return value
 
-    def _insert(
-        self,
-        key: Hashable,
-        value: Any,
-        depends: tuple[tuple[str, int], ...] | None,
-    ) -> None:
+    def _insert(self, key: Hashable, entry: tuple[Hashable, Any]) -> None:
         if (
             self._max_entries is not None
             and key not in self._store
             and len(self._store) >= self._max_entries
         ):
-            evicted = next(iter(self._store))
-            self._store.pop(evicted)
-            self._depends.pop(evicted, None)
-        self._store[key] = value
-        if depends:
-            self._depends[key] = depends
-        else:
-            self._depends.pop(key, None)
-
-    def invalidate_relations(self, names: Iterable[str]) -> int:
-        """Evict every entry depending on any relation in ``names``.
-
-        Args:
-            names: The updated relation symbols.
-
-        Returns:
-            The number of entries evicted (also accumulated onto
-            ``stats.invalidated``).
-        """
-        updated = set(names)
-        if not updated or not self._depends:
-            return 0
-        doomed = [
-            key
-            for key, depends in self._depends.items()
-            if any(name in updated for name, _ in depends)
-        ]
-        for key in doomed:
-            self._store.pop(key, None)
-            self._depends.pop(key, None)
-        self.stats.invalidated += len(doomed)
-        return len(doomed)
+            self._store.pop(next(iter(self._store)))
+        self._store[key] = entry
 
     def __len__(self) -> int:
         return len(self._store)
@@ -203,7 +165,6 @@ class KeyedCache:
     def clear(self) -> None:
         """Drop every entry (the stats are deliberately kept)."""
         self._store.clear()
-        self._depends.clear()
 
 
 @dataclass

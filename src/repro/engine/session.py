@@ -46,6 +46,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.parallel.tasks import FixedItems
     from repro.safety.domain_independence import SafetyReport
 
+#: Bound on the session's ``generate`` cache (oldest entry evicted).
+MAX_GENERATED_ENTRIES = 4096
+
 
 class QueryEngine:
     """A query-evaluation session with per-artifact caches.
@@ -66,12 +69,7 @@ class QueryEngine:
     redundant recomputation under races is harmless).
     """
 
-    def __init__(
-        self,
-        *,
-        max_generated_entries: int | None = 4096,
-        tracer: "Tracer | NullTracer | None" = None,
-    ) -> None:
+    def __init__(self, *, tracer: "Tracer | NullTracer | None" = None) -> None:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.stats = EngineStats()
         register = self.stats.register_cache
@@ -80,7 +78,7 @@ class QueryEngine:
         self._minimize = register(KeyedCache("minimize"))
         self._specialize = register(KeyedCache("specialize"))
         self._generate = register(
-            KeyedCache("generate", max_entries=max_generated_entries)
+            KeyedCache("generate", max_entries=MAX_GENERATED_ENTRIES)
         )
         self._limit = register(KeyedCache("limit"))
         self._ir = register(KeyedCache("ir"))
@@ -94,12 +92,6 @@ class QueryEngine:
 
         #: Materialized answers maintained under deltas (repro.delta).
         self._materialized = register(MaterializedStore())
-        # The (relation, version) dependencies of the evaluation in
-        # flight; cache writes made while it is set are tagged so
-        # invalidate_relations can evict exactly the dependent entries.
-        self._dep_context: tuple[tuple[str, int], ...] | None = None
-        # alphabet -> relation names whose databases fed domain sizing.
-        self._domain_deps: dict[Alphabet, set[str]] = {}
 
     # -- tracing helpers -------------------------------------------------
 
@@ -261,13 +253,11 @@ class QueryEngine:
             executor.report.cache_hits += hits
         if not pending:
             return answers
-        depends = self._dep_context
         if executor is None:
             for key in pending:
                 answers[key] = self._generate.get_or_compute(
                     (fsa, cap, key),
                     partial(self._generate_miss, fsa, cap, key),
-                    depends=depends,
                 )
             return answers
         from repro.parallel.tasks import GenerateShardTask
@@ -290,9 +280,7 @@ class QueryEngine:
                 for position, found in pairs:
                     key = pending[position]
                     answers[key] = found
-                    self._generate.store(
-                        (fsa, cap, key), found, depends=depends
-                    )
+                    self._generate.store((fsa, cap, key), found)
                     if key:
                         self._specialize.stats.misses += 1
         return answers
@@ -333,13 +321,17 @@ class QueryEngine:
     def query_plan(self, query: "Query", db: Database, cap: int):
         """The normalized :class:`~repro.ir.plan.QueryPlan`, cached.
 
-        Keyed by the formula, head, alphabet, the database's relation
-        *statistics signature* (per-column distinct counts and length
-        histograms, from each storage backend's ``stats()``) and the
-        cap — statistically identical databases share one cost-ranked
-        plan, and a database whose contents shift enough to change its
-        statistics gets replanned.  After normalization the
-        index-prefilter pushdown pass
+        Keyed by the formula, head and alphabet, so the session keeps
+        one plan per query.  The plan is stamped with the cap and the
+        database's relation *statistics signature* (per-column
+        distinct counts and length histograms, from each storage
+        backend's ``stats()``): statistically identical databases share
+        one cost-ranked plan, and a lookup under another cap or
+        signature — after an update moved the statistics or the
+        certified cap — replans and replaces the entry in place,
+        counted as a ``cache.invalidate.ir`` replacement.
+
+        After normalization the index-prefilter pushdown pass
         (:func:`repro.ir.rewrite.attach_index_prefilters`) derives
         mandatory substring factors from the branch's selection
         machines — compiled through this session's cache — and attaches
@@ -359,13 +351,7 @@ class QueryEngine:
         from repro.ir.rewrite import attach_index_prefilters
 
         model = CostModel.for_database(db, query.alphabet, cap)
-        key = (
-            query.formula,
-            query.head,
-            query.alphabet,
-            model.signature,
-            cap,
-        )
+
         def compute():
             tracer = self.tracer
             with activate(tracer), tracer.span(
@@ -382,7 +368,16 @@ class QueryEngine:
                     span.set(fallback=plan.fallback_reason)
                 return plan
 
-        return self._ir.get_or_compute(key, compute, depends=self._dep_context)
+        replaced = self._ir.stats.invalidated
+        plan = self._ir.get_or_compute(
+            (query.formula, query.head, query.alphabet),
+            compute,
+            stamp=(cap, model.signature),
+        )
+        if self._ir.stats.invalidated != replaced:
+            tracer = self.tracer if self.tracer.enabled else current_tracer()
+            tracer.add("cache.invalidate.ir")
+        return plan
 
     def optimized_translation(self, query: "Query"):
         """The rewritten algebra expression plus fired rules, cached.
@@ -501,61 +496,15 @@ class QueryEngine:
 
     # -- deltas and materialized answers (repro.delta) ------------------
 
-    def _relation_deps(
-        self, query: "Query", db: Database
-    ) -> tuple[tuple[str, int], ...]:
-        """The ``(relation, version)`` pairs ``query`` depends on in ``db``."""
-        from repro.core.syntax import relation_names
-
-        return tuple(
-            (name, db.relation_version(name))
-            for name in sorted(relation_names(query.formula))
-        )
-
-    def invalidate_relations(self, names: Sequence[str]) -> int:
-        """Evict cache entries that depended on the named relations.
-
-        Only the relation-dependent caches are touched — generated
-        answer sets, normalized query plans and the domain pool;
-        compiled machines, kernels, specializations, algebra
-        translations and limit reports are pure functions of formulae
-        and survive every update.  Each eviction batch is recorded as a
-        ``cache.invalidate.<cache>`` counter.
-
-        Args:
-            names: The updated relation symbols.
-
-        Returns:
-            The total number of evicted entries.
-        """
-        tracer = self.tracer if self.tracer.enabled else current_tracer()
-        evicted = 0
-        for cache in (self._generate, self._ir):
-            count = cache.invalidate_relations(names)
-            if count:
-                tracer.add(f"cache.invalidate.{cache.name}", count)
-            evicted += count
-        updated = set(names)
-        for alphabet in [
-            alphabet
-            for alphabet, deps in self._domain_deps.items()
-            if deps & updated
-        ]:
-            del self._domain_deps[alphabet]
-            if alphabet in self._domains:
-                del self._domains[alphabet]
-                self._domain_stats.invalidated += 1
-                tracer.add("cache.invalidate.domain")
-                evicted += 1
-        return evicted
-
     def apply_delta(self, db: Database, delta) -> Database:
         """Apply ``delta`` to ``db`` and keep this session consistent.
 
         One call does the whole mutation path: derives the new
-        database version, evicts exactly the cache entries that
-        depended on the touched relations, and incrementally maintains
-        the materialized answers.  Recorded under the ``delta`` stage.
+        database version and incrementally maintains the materialized
+        answers.  The session caches need no eviction: every key holds
+        the inputs its value is computed from, and a plan priced
+        against the old statistics is replaced on its next lookup
+        (:meth:`query_plan`).  Recorded under the ``delta`` stage.
 
         Args:
             db: The database version to update.
@@ -583,7 +532,6 @@ class QueryEngine:
         touched = delta.relations()
         tracer = current_tracer()
         tracer.add("delta.applied")
-        self.invalidate_relations(touched)
         with tracer.span(
             "delta.maintain", stage="delta", relations=len(touched)
         ):
@@ -671,10 +619,6 @@ class QueryEngine:
         """
         if length < 0:
             return ()
-        if self._dep_context:
-            self._domain_deps.setdefault(alphabet, set()).update(
-                name for name, _ in self._dep_context
-            )
         cached = self._domains.get(alphabet)
         if cached is not None and cached[0] >= length:
             self._domain_stats.hits += 1
@@ -736,44 +680,35 @@ class QueryEngine:
                     "materialized", perf_counter() - started
                 )
                 return entry.answer
-        previous = self._dep_context
-        self._dep_context = self._relation_deps(query, db)
-        try:
-            if materialize and domain is None:
-                started = perf_counter()
-                answer = self._materialize_miss(query, db, length)
-                if answer is not None:
-                    self.stats.record_evaluation(
-                        "materialized", perf_counter() - started
-                    )
-                    return answer
-            strategy = get_engine(engine)
-            if workers is not None:
-                configured = getattr(strategy, "configured", None)
-                if configured is not None:
-                    strategy = configured(workers=workers)
-            fixed_domain = tuple(domain) if domain is not None else None
-            started = perf_counter()
-            tracer = self.tracer
-            if tracer.enabled:
-                with activate(tracer), tracer.span(
-                    "engine.evaluate",
-                    engine=strategy.name,
-                    head=len(query.head),
-                ):
-                    result = strategy.evaluate(
-                        query, db, self, length=length, domain=fixed_domain
-                    )
-            else:
+            answer = self._materialize_miss(query, db, length)
+            if answer is not None:
+                self.stats.record_evaluation(
+                    "materialized", perf_counter() - started
+                )
+                return answer
+        strategy = get_engine(engine)
+        if workers is not None:
+            configured = getattr(strategy, "configured", None)
+            if configured is not None:
+                strategy = configured(workers=workers)
+        fixed_domain = tuple(domain) if domain is not None else None
+        started = perf_counter()
+        tracer = self.tracer
+        if tracer.enabled:
+            with activate(tracer), tracer.span(
+                "engine.evaluate",
+                engine=strategy.name,
+                head=len(query.head),
+            ):
                 result = strategy.evaluate(
                     query, db, self, length=length, domain=fixed_domain
                 )
-            self.stats.record_evaluation(
-                strategy.name, perf_counter() - started
+        else:
+            result = strategy.evaluate(
+                query, db, self, length=length, domain=fixed_domain
             )
-            return result
-        finally:
-            self._dep_context = previous
+        self.stats.record_evaluation(strategy.name, perf_counter() - started)
+        return result
 
     def evaluate_many(
         self,

@@ -44,8 +44,9 @@ class CostModel:
     ``relation_sizes`` is the sorted ``(name, rows)`` signature kept
     for observability and quick lookups; ``relation_stats`` carries
     the full per-column statistics and — being a tuple of frozen
-    values — doubles as the database component of plan cache keys:
-    two databases with equal statistics cost-rank plans identically.
+    values — doubles as the database component of the plan cache's
+    stamp: two databases with equal statistics cost-rank plans
+    identically.
     ``foreign`` names the relations holding a character outside the
     query alphabet (only ever non-empty when the database alphabet
     has symbols the query alphabet lacks).
@@ -100,7 +101,7 @@ class CostModel:
 
     @property
     def signature(self) -> tuple:
-        """The hashable database component of plan cache keys."""
+        """The hashable database component of the plan cache's stamp."""
         return (self.relation_stats, self.foreign)
 
     def relation_rows(self, name: str) -> int:

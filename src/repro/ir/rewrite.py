@@ -18,8 +18,11 @@ to its own fixpoint:
    projections vanish, projections push through ``Union`` and through
    ``Product`` factors that can never be empty.
 4. **select minimization** — selection machines are replaced by their
-   bisimulation quotients when strictly smaller (via the session's
-   cache when one is attached).
+   bisimulation quotients when strictly smaller.
+
+Fused and minimized machines come from the engine session's caches
+(:meth:`repro.engine.QueryEngine.fused_select` and
+:meth:`~repro.engine.QueryEngine.minimized_machine`).
 
 Every rewrite preserves the truncation-evaluation answer set exactly;
 the differential tests in ``tests/ir/`` hold the passes to that.
@@ -53,7 +56,7 @@ from repro.core.alphabet import LEFT_END
 from repro.core.syntax import RelAtom, StringAtom
 from repro.fsa.machine import FSA, RIGHT_MOVE, STAY
 from repro.fsa.ops import drop_tape, widen
-from repro.fsa.product import fusion_supported, sequence_machines
+from repro.fsa.product import fusion_supported
 from repro.ir.plan import ConjunctivePlan, QueryPlan, UnionPlan
 
 #: Safety cap on whole-pass fixpoint iterations.
@@ -61,41 +64,15 @@ MAX_PASS_ROUNDS = 16
 
 
 class RewriteContext:
-    """Carries the optional engine session and the rule-fire counts."""
+    """Carries the engine session and the rule-fire counts."""
 
-    def __init__(self, session=None) -> None:
+    def __init__(self, session) -> None:
         self.session = session
         self.counts: dict[str, int] = {}
 
     def fire(self, rule: str) -> None:
         """Record one firing of ``rule``."""
         self.counts[rule] = self.counts.get(rule, 0) + 1
-
-    def fused(self, first: FSA, second: FSA) -> FSA:
-        """``L(first) ∩ L(second)``, served from the session when present.
-
-        Sessionless fusion mirrors
-        :meth:`repro.engine.QueryEngine.fused_select`: in-fragment
-        pairs fuse through the determinized scan-table product so the
-        result stays a one-pass kernel-v2 machine, everything else
-        through the two-way sequencing product.
-        """
-        if self.session is not None:
-            return self.session.fused_select(first, second)
-        from repro.fsa.determinize import lockstep_intersection
-
-        fused = lockstep_intersection(first, second)
-        if fused is not None:
-            return fused
-        return sequence_machines(first, second)
-
-    def minimized(self, machine: FSA) -> FSA:
-        """The bisimulation quotient, served from the session when present."""
-        if self.session is not None:
-            return self.session.minimized_machine(machine)
-        from repro.fsa.minimize import bisimulation_quotient
-
-        return bisimulation_quotient(machine)
 
     def snapshot(self) -> tuple[tuple[str, int], ...]:
         """The ``(rule, count)`` pairs, sorted by rule name."""
@@ -240,7 +217,9 @@ def _select_fuse(
         machine, inner.machine
     ):
         context.fire("select-fuse")
-        return Select(inner.inner, context.fused(machine, inner.machine))
+        return Select(
+            inner.inner, context.session.fused_select(machine, inner.machine)
+        )
     if isinstance(inner, Product):
         factors = _product_factors(inner)
         offset = 0
@@ -324,7 +303,7 @@ def _select_minimize(
 ) -> Expression | None:
     if not isinstance(expression, Select):
         return None
-    smaller = context.minimized(expression.machine)
+    smaller = context.session.minimized_machine(expression.machine)
     if len(smaller.states) < len(expression.machine.states):
         context.fire("select-minimize")
         return Select(expression.inner, smaller)
@@ -335,14 +314,14 @@ _PASSES = (_select_pushdown, _select_fuse, _project_pass, _select_minimize)
 
 
 def optimize_expression(
-    expression: Expression, session=None
+    expression: Expression, session
 ) -> tuple[Expression, tuple[tuple[str, int], ...]]:
     """Run all rewrite passes over an algebra expression.
 
     Args:
         expression: The translated expression to optimize.
-        session: An optional :class:`repro.engine.QueryEngine`; fused
-            and minimized machines are then served from its caches.
+        session: The :class:`repro.engine.QueryEngine` whose caches
+            serve fused and minimized machines.
 
     Returns:
         The ``(optimized expression, fired rules)`` pair; the rule list

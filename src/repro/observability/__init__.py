@@ -4,16 +4,13 @@ This package is the instrumentation substrate for the whole pipeline —
 dependency-free (stdlib only), negligible when disabled, and stable in
 schema so perf work can report against it release after release.
 
-Three layers:
+Two layers:
 
 * :mod:`repro.observability.tracer` — :class:`Tracer` (spans,
   counters, gauges), the ambient :func:`current_tracer` /
   :func:`activate` contextvar plumbing, and the canonical pipeline
   :data:`STAGES` (``compile → specialize → translate → plan → shard →
   execute → fold``);
-* :mod:`repro.observability.sinks` — pluggable span sinks
-  (:class:`RingBufferSink`, :class:`JsonLinesSink`,
-  :class:`StderrSummarySink`);
 * :mod:`repro.observability.report` — :class:`TraceReport`, the
   schema-stable JSON document unifying span data with the engine's
   cache/parallel accounting (the CLI's ``--trace`` / ``--profile`` /
@@ -25,11 +22,6 @@ codebase.
 """
 
 from repro.observability.report import TRACE_REPORT_SCHEMA, TraceReport
-from repro.observability.sinks import (
-    JsonLinesSink,
-    RingBufferSink,
-    StderrSummarySink,
-)
 from repro.observability.tracer import (
     DEFAULT_MAX_SPANS,
     NULL_TRACER,
@@ -44,14 +36,11 @@ from repro.observability.tracer import (
 
 __all__ = [
     "DEFAULT_MAX_SPANS",
-    "JsonLinesSink",
     "NULL_TRACER",
     "NullTracer",
-    "RingBufferSink",
     "STAGES",
     "Span",
     "SpanRecord",
-    "StderrSummarySink",
     "TRACE_REPORT_SCHEMA",
     "TraceReport",
     "Tracer",

@@ -35,7 +35,8 @@ from repro.observability.tracer import STAGES, NullTracer, SpanRecord, Tracer
 #: compatibly — two stages (``normalize``, ``optimize``) and a
 #: ``rejects`` section were added; ``/3`` extends ``/2`` with the
 #: ``delta`` stage (the update path) and per-cache ``invalidated``
-#: counts.  Every earlier key is unchanged.
+#: counts (stamped entries replaced in place).  Every earlier key is
+#: unchanged.
 TRACE_REPORT_SCHEMA = "repro.trace-report/3"
 
 
@@ -233,10 +234,10 @@ class TraceReport:
     def summary(self) -> str:
         """The ``--stats`` lines: caches, engines, rejects, parallel, kernel.
 
-        One line per cache (with ``invalidated=N`` once a delta evicted
-        entries), per engine and per rejection reason, then the
-        parallel totals and kernel counters when present, and a
-        trailing span line when tracing was enabled.
+        One line per cache (with ``invalidated=N`` once an entry was
+        replaced under a new stamp), per engine and per rejection
+        reason, then the parallel totals and kernel counters when
+        present, and a trailing span line when tracing was enabled.
         """
         lines = []
         for name in sorted(self.caches):

@@ -99,33 +99,6 @@ class SpanRecord:
             data["worker"] = self.worker
         return data
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SpanRecord":
-        """Rebuild a record from :meth:`to_dict` output.
-
-        Args:
-            data: A mapping with the fields emitted by :meth:`to_dict`.
-
-        Returns:
-            The reconstructed :class:`SpanRecord`.
-        """
-        return cls(
-            span_id=int(data["span_id"]),
-            parent_id=(
-                None if data.get("parent_id") is None else int(data["parent_id"])
-            ),
-            name=str(data["name"]),
-            stage=data.get("stage"),
-            start=float(data["start"]),
-            duration=float(data["duration"]),
-            attributes=tuple(
-                sorted((str(k), v) for k, v in dict(data.get("attributes", {})).items())
-            ),
-            worker=(
-                None if data.get("worker") is None else int(data["worker"])
-            ),
-        )
-
 
 class Span:
     """An open span: a context manager handle produced by :meth:`Tracer.span`.
@@ -247,9 +220,6 @@ class NullTracer:
         """Return no records."""
         return ()
 
-    def flush(self) -> None:
-        """No sinks to flush."""
-
 
 #: The process-wide disabled tracer; the default ambient tracer.
 NULL_TRACER = NullTracer()
@@ -259,12 +229,9 @@ class Tracer:
     """Records hierarchical spans, counters and gauges for one session.
 
     Args:
-        sinks: Objects with an ``emit(record)`` method (and optionally
-            ``close()``) that receive every finished span record —
-            see :mod:`repro.observability.sinks`.
         max_spans: Retained-record cap; further spans still update
-            counters and sinks but are dropped from the in-memory list
-            (the drop count is reported as ``dropped_spans``).
+            counters but are dropped from the in-memory list (the drop
+            count is reported as ``dropped_spans``).
 
     The tracer is deliberately single-threaded per session, matching
     the engine's execution model; worker processes use their own
@@ -272,7 +239,6 @@ class Tracer:
     """
 
     __slots__ = (
-        "sinks",
         "counters",
         "gauges",
         "max_spans",
@@ -285,10 +251,7 @@ class Tracer:
 
     enabled = True
 
-    def __init__(
-        self, *, sinks: Iterable[Any] = (), max_spans: int = DEFAULT_MAX_SPANS
-    ) -> None:
-        self.sinks = tuple(sinks)
+    def __init__(self, *, max_spans: int = DEFAULT_MAX_SPANS) -> None:
         self.counters: dict[str, float] = {}
         self.gauges: dict[str, float] = {}
         self.max_spans = max_spans
@@ -324,8 +287,6 @@ class Tracer:
             self._records.append(record)
         else:
             self.dropped_spans += 1
-        for sink in self.sinks:
-            sink.emit(record)
 
     # -- counters and gauges --------------------------------------------
 
@@ -405,13 +366,6 @@ class Tracer:
     def records(self) -> tuple[SpanRecord, ...]:
         """All retained span records, in completion (exit) order."""
         return tuple(self._records)
-
-    def flush(self) -> None:
-        """Close every sink that exposes a ``close()`` hook."""
-        for sink in self.sinks:
-            close = getattr(sink, "close", None)
-            if close is not None:
-                close()
 
 
 # -- the ambient tracer ------------------------------------------------

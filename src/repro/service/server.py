@@ -12,9 +12,11 @@ The database is served as one consistent version: ``update`` /
 rejected while draining like any evaluation) run under an *exclusive*
 pool lease — every slot held, so no query is in flight while
 :meth:`~repro.engine.QueryEngine.apply_delta` swaps the served
-database, invalidates the dependent session caches and repairs the
-materialized answers.  Query bodies snapshot the database reference
-once, so each request evaluates entirely against a single version.
+database and repairs the materialized answers.  The session caches
+are keyed by their inputs, so the update evicts nothing; each query's
+plan is replaced when it is next looked up against the new version.
+Query bodies snapshot the database reference once, so each request
+evaluates entirely against a single version.
 
 Observability: every evaluated request runs under its *own*
 :class:`~repro.observability.Tracer` (activated ambiently in the

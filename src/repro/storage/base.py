@@ -28,7 +28,7 @@ class ColumnStats:
     """Summary statistics for one column of a stored relation.
 
     All fields are plain integers or tuples, so the object is hashable
-    and can ride inside cost-model signatures and plan cache keys.
+    and can ride inside cost-model signatures and plan cache stamps.
     """
 
     #: Number of distinct strings in the column.

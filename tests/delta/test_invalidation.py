@@ -1,4 +1,13 @@
-"""Dependency-scoped cache invalidation: evict only what an update touched."""
+"""Cache validity under updates: keys decide, plans are replaced lazily.
+
+Every session cache is keyed by the inputs its value is computed from,
+so an update evicts nothing.  The one database-dependent value, the
+normalized plan, is stamped with the cap and the statistics signature
+it was priced under; a lookup under another stamp replans and replaces
+the entry in place, so the session keeps one plan per query.
+"""
+
+from itertools import product
 
 from repro.core import shorthands as sh
 from repro.core.alphabet import AB
@@ -11,35 +20,27 @@ from repro.observability import Tracer
 from repro.workloads.generators import example_database
 
 
-class TestKeyedCacheDependencies:
-    def test_tagged_entries_evict_on_matching_relation(self):
+class TestKeyedCacheStamps:
+    def test_new_stamp_replaces_the_entry_in_place(self):
         cache = KeyedCache("demo")
-        cache.get_or_compute("a", lambda: 1, depends=(("R", 3),))
-        cache.get_or_compute("b", lambda: 2, depends=(("S", 1),))
-        evicted = cache.invalidate_relations(["R"])
-        assert evicted == 1
+        assert cache.get_or_compute("k", lambda: 1, stamp=("v", 1)) == 1
+        assert cache.get_or_compute("k", lambda: -1, stamp=("v", 1)) == 1
+        assert cache.stats.invalidated == 0
+        assert cache.get_or_compute("k", lambda: 2, stamp=("v", 2)) == 2
+        assert len(cache) == 1
         assert cache.stats.invalidated == 1
-        # The R-tagged entry recomputes; the S-tagged one is served.
-        calls = []
-        cache.get_or_compute("a", lambda: calls.append("a") or 1)
-        cache.get_or_compute("b", lambda: calls.append("b") or 2)
-        assert calls == ["a"]
+        assert (cache.stats.hits, cache.stats.misses) == (1, 2)
+        # The replacement is served under its own stamp.
+        assert cache.get_or_compute("k", lambda: -1, stamp=("v", 2)) == 2
 
-    def test_untagged_entries_are_never_invalidated(self):
+    def test_unstamped_entries_stay(self):
         cache = KeyedCache("demo")
         cache.get_or_compute("pure", lambda: 42)
-        assert cache.invalidate_relations(["R", "S"]) == 0
+        cache.store("worker", "v")
         assert cache.get_or_compute("pure", lambda: -1) == 42
-
-    def test_store_accepts_dependencies(self):
-        cache = KeyedCache("demo")
-        cache.store("k", "v", depends=(("R", 1),))
-        assert cache.invalidate_relations(["R"]) == 1
-
-    def test_unrelated_names_evict_nothing(self):
-        cache = KeyedCache("demo")
-        cache.store("k", "v", depends=(("R", 1),))
-        assert cache.invalidate_relations(["S"]) == 0
+        assert cache.peek("worker") == "v"
+        assert cache.get_or_compute("worker", lambda: "w") == "v"
+        assert len(cache) == 2
         assert cache.stats.invalidated == 0
 
 
@@ -66,13 +67,20 @@ class TestSessionInvalidation:
             db, Delta.of(inserts={"R1": [("b", "bb")]})
         )
         assert db2 is not db
+        # Replacement is lazy: the plans priced against the old
+        # statistics are replaced when the new version looks them up.
+        session.evaluate(_join_query(), db2, length=2, engine="auto")
+        session.evaluate(_single_query(), db2, length=2, engine="auto")
         caches = session.trace_report().caches
-        # The R1-dependent plan entries were evicted ...
-        assert caches["ir"]["invalidated"] >= 1
-        # ... while the pure machine cache was never touched: replaying
-        # both queries against the new version compiles nothing new.
+        assert caches["ir"]["invalidated"] == 2
+        assert caches["ir"]["misses"] - caches["ir"]["invalidated"] == 2
+        # The pure machine cache was never touched: replaying both
+        # queries against the new version compiles nothing new.
         assert caches["compile"].get("invalidated", 0) == 0
-        # --stats shows the evictions on the evicted caches' lines.
+        assert caches["compile"]["misses"] == compile_misses, (
+            "compiled machines should survive every update"
+        )
+        # --stats shows the replacements on the replaced cache's line.
         lines = {
             line.split()[1]: line
             for line in session.trace_report().summary().splitlines()
@@ -80,18 +88,15 @@ class TestSessionInvalidation:
         }
         assert "invalidated=" in lines["ir"]
         assert "invalidated=" not in lines["compile"]
-        session.evaluate(_join_query(), db2, length=2, engine="auto")
-        session.evaluate(_single_query(), db2, length=2, engine="auto")
-        assert (
-            session.trace_report().caches["compile"]["misses"]
-            == compile_misses
-        ), "compiled machines should survive every update"
 
     def test_invalidation_counters_reach_the_tracer(self):
         db = example_database(AB, seed=5, size=4, max_length=2)
         session = QueryEngine(tracer=Tracer())
         session.evaluate(_join_query(), db, length=2, engine="auto")
-        session.apply_delta(db, Delta.of(inserts={"R1": [("b", "bb")]}))
+        db2 = session.apply_delta(
+            db, Delta.of(inserts={"R1": [("b", "bb")]})
+        )
+        session.evaluate(_join_query(), db2, length=2, engine="auto")
         counters = session.tracer.counters
         assert counters.get("delta.applied") == 1
         assert any(
@@ -110,3 +115,27 @@ class TestSessionInvalidation:
         fresh = QueryEngine().evaluate(query, db2, length=2, engine="auto")
         assert warm == fresh
         assert ("a", "ab") in warm
+
+    def test_planning_before_evaluation_keeps_one_plan_per_query(self):
+        # The daemon prices each request (query_plan) before it
+        # evaluates it; every update must still leave one plan.
+        db = example_database(AB, seed=5, size=4, max_length=2)
+        session = QueryEngine()
+        query = _join_query()
+        stored = set(db.relation("R1"))
+        fresh = [
+            row
+            for row in product(AB.strings(3), repeat=2)
+            if row not in stored
+        ][:20]
+        for row in fresh:
+            db = session.apply_delta(db, Delta.of(inserts={"R1": [row]}))
+            session.query_plan(query, db, 3)
+            warm = session.evaluate(query, db, length=3, engine="auto")
+        plans = session.stats.caches["ir"]
+        # Each miss adds an entry unless it replaced one.
+        assert plans.misses - plans.invalidated == 1
+        assert plans.invalidated == len(fresh) - 1
+        assert warm == QueryEngine().evaluate(
+            query, db, length=3, engine="auto"
+        )

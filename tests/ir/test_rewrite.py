@@ -118,7 +118,7 @@ class TestRewritePasses:
     def test_select_pushes_through_union(self):
         fsa = machine(sh.equals("x", "y"))
         expr = Select(Union(Rel("R1", 2), Rel("R1", 2)), fsa)
-        optimized, rules = optimize_expression(expr)
+        optimized, rules = optimize_expression(expr, QueryEngine())
         assert isinstance(optimized, Union)
         assert dict(rules)["select-pushdown-union"] == 1
         assert answers(optimized) == answers(expr)
@@ -127,7 +127,7 @@ class TestRewritePasses:
         first = machine(sh.equals("x", "y"))
         second = machine(sh.constant("x", "ab"), ("x", "y"))
         expr = Select(Select(Rel("R1", 2), first), second)
-        optimized, rules = optimize_expression(expr)
+        optimized, rules = optimize_expression(expr, QueryEngine())
         assert isinstance(optimized, Select)
         assert isinstance(optimized.inner, Rel)
         assert dict(rules)["select-fuse"] == 1
@@ -135,13 +135,13 @@ class TestRewritePasses:
 
     def test_identity_projection_vanishes(self):
         expr = Project(Rel("R1", 2), (0, 1))
-        optimized, rules = optimize_expression(expr)
+        optimized, rules = optimize_expression(expr, QueryEngine())
         assert optimized == Rel("R1", 2)
         assert dict(rules)["project-identity"] == 1
 
     def test_stacked_projections_fuse(self):
         expr = Project(Project(Rel("R1", 2), (1, 0)), (1,))
-        optimized, rules = optimize_expression(expr)
+        optimized, rules = optimize_expression(expr, QueryEngine())
         assert optimized == Project(Rel("R1", 2), (0,))
         assert dict(rules)["project-fuse"] == 1
         assert answers(optimized) == answers(expr)
@@ -149,7 +149,7 @@ class TestRewritePasses:
     def test_projection_pushes_into_sigma_product(self):
         # π over a never-empty Σ* padding factor drops the factor.
         expr = Project(Product(Rel("R2", 1), SigmaStar()), (0,))
-        optimized, rules = optimize_expression(expr)
+        optimized, rules = optimize_expression(expr, QueryEngine())
         assert optimized == Rel("R2", 1)
         assert dict(rules)["project-pushdown-product"] == 1
         assert answers(optimized) == answers(expr)
@@ -157,7 +157,7 @@ class TestRewritePasses:
     def test_minimization_shrinks_machines(self):
         fsa = machine(union(sh.equals("x", "y"), sh.equals("x", "y")))
         expr = Select(Rel("R1", 2), fsa)
-        optimized, rules = optimize_expression(expr)
+        optimized, rules = optimize_expression(expr, QueryEngine())
         assert len(optimized.machine.states) < len(fsa.states)
         assert dict(rules)["select-minimize"] == 1
         assert answers(optimized) == answers(expr)
@@ -172,7 +172,7 @@ class TestRewritePasses:
         expr = Select(
             Product(Rel("R2", 1), Select(SigmaStar(), pattern)), generator
         )
-        optimized, rules = optimize_expression(expr)
+        optimized, rules = optimize_expression(expr, QueryEngine())
         assert dict(rules)["generative-fuse"] == 1
         assert answers(optimized, length=4) == answers(expr, length=4)
 
@@ -188,7 +188,7 @@ class TestRewritePasses:
 
     def test_noop_expression_reports_no_rules(self):
         expr = Rel("R2", 1)
-        optimized, rules = optimize_expression(expr)
+        optimized, rules = optimize_expression(expr, QueryEngine())
         assert optimized == expr and rules == ()
 
 

@@ -189,7 +189,6 @@ class TestNullTracer:
             span.set(y=2)
         tracer.add("c", 3)
         tracer.gauge("g", 4)
-        tracer.flush()
         assert tracer.records() == ()
         assert tracer.export() == ((), {}, {})
 
@@ -203,24 +202,9 @@ class TestNullTracer:
 
 
 class TestSpanRecordSerialization:
-    def test_dict_round_trip(self):
-        record = SpanRecord(
-            span_id=3,
-            parent_id=1,
-            name="execute.shard",
-            stage="execute",
-            start=0.5,
-            duration=0.25,
-            attributes=(("items", 8), ("kind", "naive")),
-            worker=4242,
-        )
-        assert SpanRecord.from_dict(record.to_dict()) == record
-
     def test_worker_omitted_when_unset(self):
         record = SpanRecord(
             span_id=1, parent_id=None, name="n", stage=None,
             start=0.0, duration=0.0,
         )
-        data = record.to_dict()
-        assert "worker" not in data
-        assert SpanRecord.from_dict(data).worker is None
+        assert "worker" not in record.to_dict()

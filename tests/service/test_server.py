@@ -504,3 +504,24 @@ class TestReports:
         assert len(seen[0].spans) >= 1
         names = {record.name for record in seen[0].spans}
         assert "service.request" in names
+
+
+class TestPlanCache:
+    def test_updates_leave_one_plan_per_query(self, db):
+        # Admission prices every request (one plan lookup) before the
+        # evaluation looks the plan up again.  Each update lengthens
+        # R2's longest string, so the certified cap moves with the
+        # statistics; the session must still keep one plan per query.
+        handle = serve_in_thread(db, pool_size=1)
+        try:
+            with ServiceClient(*handle.address) as client:
+                for step in range(12):
+                    client.update(insert={"R2": [["b" * (step + 3)]]})
+                    assert len(client.query("R2(x)", ["x"])) == step + 4
+                    assert client.query(
+                        "R1(x, y) & [x, y]l(x = y)", ["x", "y"]
+                    ) == [("a", "ab"), ("b", "ba")]
+                plans = client.stats()["session"]["caches"]["ir"]
+        finally:
+            handle.stop()
+        assert plans["misses"] - plans["invalidated"] <= 2
