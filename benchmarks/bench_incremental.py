@@ -9,18 +9,16 @@ rows, with every session cache kept warm — while the from-scratch baseline
 rebuilds the answer with a cold session on the same database version.
 Byte-equality is asserted every iteration; the ≥3× speedup assertion
 makes this file the harness row for the incremental-evaluation
-acceptance criterion, and the measured numbers are written to
-``BENCH_incremental.json`` at the repo root.
+acceptance criterion.
 
 Run directly (``PYTHONPATH=src python benchmarks/bench_incremental.py``)
-for a quick report, or through pytest-benchmark for calibrated
-timings.
+for a quick report that records ``BENCH_incremental.json`` at the repo
+root, or through pytest-benchmark for calibrated timings (pytest runs
+write their numbers under ``bench-results/``).
 """
 
-import json
 import random
 import time
-from pathlib import Path
 
 from repro.core.alphabet import DNA
 from repro.core.database import Database
@@ -40,6 +38,11 @@ from repro.delta import Delta
 from repro.engine import QueryEngine
 from repro.workloads.generators import with_planted_motif
 
+try:
+    from benchmarks.conftest import write_results
+except ImportError:  # direct script runs from inside benchmarks/
+    from conftest import write_results
+
 #: The acceptance-criterion floor: incremental ≥3× over from-scratch.
 SPEEDUP_FLOOR = 3.0
 
@@ -52,9 +55,7 @@ CAP = MAX_LENGTH + len(MOTIF) + 1
 DELTA_ROWS = 6
 ITERATIONS = 3
 
-RESULTS_PATH = (
-    Path(__file__).resolve().parent.parent / "BENCH_incremental.json"
-)
+RESULTS_FILE = "BENCH_incremental.json"
 
 
 def _contains_motif():
@@ -160,27 +161,26 @@ def _results():
     return _STATE["loop"]
 
 
+def _report() -> dict:
+    incremental, scratch, answers = _results()
+    return {
+        "workload": f"update-then-query-{MOTIF}-motif",
+        "rows": ROWS,
+        "delta_rows": DELTA_ROWS,
+        "iterations": ITERATIONS,
+        "answers": len(answers),
+        "incremental_seconds": round(incremental, 4),
+        "scratch_seconds": round(scratch, 4),
+        "speedup": round(scratch / incremental, 2),
+        "floor": SPEEDUP_FLOOR,
+    }
+
+
 def test_incremental_speedup_floor():
     """Acceptance criterion: the incremental path is ≥3× faster than
-    from-scratch re-evaluation; results go to BENCH_incremental.json."""
-    incremental, scratch, answers = _results()
-    RESULTS_PATH.write_text(
-        json.dumps(
-            {
-                "workload": f"update-then-query-{MOTIF}-motif",
-                "rows": ROWS,
-                "delta_rows": DELTA_ROWS,
-                "iterations": ITERATIONS,
-                "answers": len(answers),
-                "incremental_seconds": round(incremental, 4),
-                "scratch_seconds": round(scratch, 4),
-                "speedup": round(scratch / incremental, 2),
-                "floor": SPEEDUP_FLOOR,
-            },
-            indent=2,
-        )
-        + "\n"
-    )
+    from-scratch re-evaluation."""
+    incremental, scratch, _ = _results()
+    write_results(RESULTS_FILE, _report())
     assert scratch >= SPEEDUP_FLOOR * incremental, (
         f"incremental path ({incremental * 1e3:.1f} ms) not "
         f"≥{SPEEDUP_FLOOR}× faster than from-scratch "
@@ -190,6 +190,7 @@ def test_incremental_speedup_floor():
 
 def main() -> None:
     incremental, scratch, answers = _results()
+    write_results(RESULTS_FILE, _report(), tracked=True)
     print(
         f"rows: {ROWS}   iterations: {ITERATIONS}   "
         f"delta rows: {DELTA_ROWS}   answers: {len(answers)}"

@@ -20,7 +20,9 @@ cache-sharing acceptance criterion for the service layer.  Measured
 numbers (QPS, p50/p99 per mode) go to ``BENCH_service.json``.
 
 Run directly (``PYTHONPATH=src python benchmarks/bench_service.py``)
-for a quick report, or through pytest for the gated assertions.
+for a quick report that records ``BENCH_service.json`` at the repo
+root, or through pytest for the gated assertions (pytest runs write
+their numbers under ``bench-results/``).
 """
 
 import json
@@ -38,6 +40,11 @@ from repro.engine import QueryEngine
 from repro.service import ServiceClient, serve_in_thread
 from repro.service.protocol import rows_to_wire
 
+try:
+    from benchmarks.conftest import write_results
+except ImportError:  # direct script runs from inside benchmarks/
+    from conftest import write_results
+
 #: The acceptance-criterion floor: warm daemon p50 ≥3× under cold p50.
 SPEEDUP_FLOOR = 3.0
 
@@ -48,7 +55,7 @@ CLIENTS = 8
 REQUESTS_PER_CLIENT = 6
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-RESULTS_PATH = REPO_ROOT / "BENCH_service.json"
+RESULTS_FILE = "BENCH_service.json"
 
 #: ``(formula, head, length)`` — relational scans, a join, and a
 #: lifted copy query whose machine compile dominates its cold cost.
@@ -243,7 +250,7 @@ def test_service_warm_latency_floor():
     session-per-request baseline at 8 concurrent clients; the measured
     numbers go to BENCH_service.json."""
     results = _measure()
-    RESULTS_PATH.write_text(json.dumps(results, indent=2) + "\n")
+    write_results(RESULTS_FILE, results)
     assert results["p50_speedup"] >= SPEEDUP_FLOOR, (
         f"warm daemon p50 {results['warm']['p50_ms']} ms not "
         f"≥{SPEEDUP_FLOOR}× better than cold baseline p50 "
@@ -253,7 +260,7 @@ def test_service_warm_latency_floor():
 
 def main() -> None:
     results = _measure()
-    RESULTS_PATH.write_text(json.dumps(results, indent=2) + "\n")
+    write_results(RESULTS_FILE, results, tracked=True)
     cold, warm = results["cold"], results["warm"]
     print(
         f"clients: {results['clients']}   "

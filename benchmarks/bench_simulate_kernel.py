@@ -18,14 +18,13 @@ Two benchmark families share this file:
 
 Run directly
 (``PYTHONPATH=src python benchmarks/bench_simulate_kernel.py``) for a
-quick per-workload report, or through pytest-benchmark for calibrated
-timings.
+quick per-workload report that records ``BENCH_kernel.json`` at the
+repo root, or through pytest-benchmark for calibrated timings (pytest
+runs write their numbers under ``bench-results/``).
 """
 
-import json
 import random
 import time
-from pathlib import Path
 
 import pytest
 
@@ -43,6 +42,11 @@ from repro.workloads.generators import (
     with_planted_motif,
 )
 
+try:
+    from benchmarks.conftest import write_results
+except ImportError:  # direct script runs from inside benchmarks/
+    from conftest import write_results
+
 #: The acceptance-criterion floor: kernel ≥3× over the reference BFS.
 SPEEDUP_FLOOR = 3.0
 
@@ -51,7 +55,7 @@ SPEEDUP_FLOOR = 3.0
 V2_SPEEDUP_FLOOR = 2.0
 
 #: Where the v1-vs-v2 trajectory is recorded for the ROADMAP.
-RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_kernel.json"
+RESULTS_FILE = "BENCH_kernel.json"
 
 
 def _workloads():
@@ -266,11 +270,8 @@ def test_kernel_v2_speedup_floor():
     workload (identical verdicts everywhere, v1 fallback untaxed);
     the measured trajectory is recorded in ``BENCH_kernel.json``."""
     results = _v2_measurements()
-    RESULTS_PATH.write_text(
-        json.dumps(
-            {"floor": V2_SPEEDUP_FLOOR, "workloads": results}, indent=2
-        )
-        + "\n"
+    write_results(
+        RESULTS_FILE, {"floor": V2_SPEEDUP_FLOOR, "workloads": results}
     )
     by_name = {entry["workload"]: entry for entry in results}
     gated = by_name["unidirectional-batch"]
@@ -291,7 +292,13 @@ def main() -> None:
             f"kernel: {kernel * 1e3:8.2f} ms   "
             f"speedup: {reference / kernel:5.1f}x"
         )
-    for entry in _v2_measurements():
+    results = _v2_measurements()
+    write_results(
+        RESULTS_FILE,
+        {"floor": V2_SPEEDUP_FLOOR, "workloads": results},
+        tracked=True,
+    )
+    for entry in results:
         print(
             f"{entry['workload']:<24} v1: {entry['v1_seconds'] * 1e3:8.2f} ms   "
             f"v2: {entry['v2_seconds'] * 1e3:8.2f} ms   "

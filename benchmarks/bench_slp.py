@@ -13,12 +13,12 @@ millions of characters), recorded in ``BENCH_slp.json`` alongside the
 expanded-vs-stored byte accounting from ``benchmarks/conftest.py``.
 
 Run directly (``PYTHONPATH=src python benchmarks/bench_slp.py``) for a
-quick report, or through pytest-benchmark for calibrated timings.
+quick report that records ``BENCH_slp.json`` at the repo root, or
+through pytest-benchmark for calibrated timings (pytest runs write
+their numbers under ``bench-results/``).
 """
 
-import json
 import time
-from pathlib import Path
 
 import pytest
 
@@ -30,9 +30,9 @@ from repro.slp import compress, concat, literal, repeat
 from repro.storage import SLPStorage
 
 try:
-    from benchmarks.conftest import byte_accounting
+    from benchmarks.conftest import byte_accounting, write_results
 except ImportError:  # direct script runs from inside benchmarks/
-    from conftest import byte_accounting
+    from conftest import byte_accounting, write_results
 
 #: The acceptance-criterion floor: v3 ≥5× over v2 at equal expanded
 #: length on the planted-motif workload.
@@ -46,7 +46,7 @@ UNCOMPRESSED_BUDGET = 1 << 21
 SCALE_FACTOR = 100
 
 #: Where the v2-vs-v3 trajectory is recorded for the ROADMAP.
-RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_slp.json"
+RESULTS_FILE = "BENCH_slp.json"
 
 #: The filler block scale strings repeat; the motif never occurs in
 #: any repetition of it ("tt" appears nowhere in block²).
@@ -185,16 +185,9 @@ def test_kernel_v3_speedup_floor():
     alone finishes the ≥100×-budget scale tier; both trajectories are
     recorded in ``BENCH_slp.json``."""
     motif_tier, scale_tier = _measurements()
-    RESULTS_PATH.write_text(
-        json.dumps(
-            {
-                "floor": V3_SPEEDUP_FLOOR,
-                "motif": motif_tier,
-                "scale": scale_tier,
-            },
-            indent=2,
-        )
-        + "\n"
+    write_results(
+        RESULTS_FILE,
+        {"floor": V3_SPEEDUP_FLOOR, "motif": motif_tier, "scale": scale_tier},
     )
     assert motif_tier["v2_seconds"] >= (
         V3_SPEEDUP_FLOOR * motif_tier["v3_seconds"]
@@ -209,6 +202,11 @@ def test_kernel_v3_speedup_floor():
 
 def main() -> None:
     motif_tier, scale_tier = _measurements()
+    write_results(
+        RESULTS_FILE,
+        {"floor": V3_SPEEDUP_FLOOR, "motif": motif_tier, "scale": scale_tier},
+        tracked=True,
+    )
     print(
         f"motif      v2: {motif_tier['v2_seconds'] * 1e3:8.2f} ms   "
         f"v3: {motif_tier['v3_seconds'] * 1e3:8.2f} ms   "

@@ -6,17 +6,15 @@ storage backends.  The memory backend scans and kernel-filters every
 row; the n-gram backend answers the pushed-down mandatory-factor probe
 first, so the kernel only sees candidate rows.  The equivalence
 assertion and the ≥3× speedup assertion make this file the harness row
-for the storage-pushdown acceptance criterion; the measured numbers
-are written to ``BENCH_storage.json`` at the repo root.
+for the storage-pushdown acceptance criterion.
 
 Run directly (``PYTHONPATH=src python benchmarks/bench_storage.py``)
-for a quick report, or through pytest-benchmark for calibrated
-timings.
+for a quick report that records ``BENCH_storage.json`` at the repo
+root, or through pytest-benchmark for calibrated timings (pytest runs
+write their numbers under ``bench-results/``).
 """
 
-import json
 import time
-from pathlib import Path
 
 import pytest
 
@@ -38,6 +36,11 @@ from repro.engine import QueryEngine
 from repro.storage import NGramIndexStorage, storage_factory
 from repro.workloads.generators import with_planted_motif
 
+try:
+    from benchmarks.conftest import write_results
+except ImportError:  # direct script runs from inside benchmarks/
+    from conftest import write_results
+
 #: The acceptance-criterion floor: indexed ≥3× over the full scan.
 SPEEDUP_FLOOR = 3.0
 
@@ -47,7 +50,7 @@ MAX_LENGTH = 24
 #: Truncation bound covering every row (fragment + planted motif).
 CAP = MAX_LENGTH + len(MOTIF) + 1
 
-RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_storage.json"
+RESULTS_FILE = "BENCH_storage.json"
 
 
 def _contains_motif():
@@ -115,30 +118,31 @@ def test_ngram_probe(benchmark):
     assert answers
 
 
-def test_storage_speedup_floor():
-    """Acceptance criterion: the indexed backend is ≥3× faster than the
-    full scan on the 100k-row workload; results go to BENCH_storage.json."""
+def _measure():
+    """Best-of ``(memory, ngram)`` seconds and their JSON report, after
+    checking that both backends agree."""
     plain, indexed = _databases()
     answers = _run(plain)
     assert _run(indexed) == answers
     memory = _best_of(2, lambda: _run(plain))
     ngram = _best_of(3, lambda: _run(indexed))
-    RESULTS_PATH.write_text(
-        json.dumps(
-            {
-                "workload": f"planted-{MOTIF}-motif",
-                "rows": ROWS,
-                "answers": len(answers),
-                "index_build_seconds": round(_STATE["build_seconds"], 4),
-                "memory_seconds": round(memory, 4),
-                "ngram_seconds": round(ngram, 4),
-                "speedup": round(memory / ngram, 2),
-                "floor": SPEEDUP_FLOOR,
-            },
-            indent=2,
-        )
-        + "\n"
-    )
+    return memory, ngram, {
+        "workload": f"planted-{MOTIF}-motif",
+        "rows": ROWS,
+        "answers": len(answers),
+        "index_build_seconds": round(_STATE["build_seconds"], 4),
+        "memory_seconds": round(memory, 4),
+        "ngram_seconds": round(ngram, 4),
+        "speedup": round(memory / ngram, 2),
+        "floor": SPEEDUP_FLOOR,
+    }
+
+
+def test_storage_speedup_floor():
+    """Acceptance criterion: the indexed backend is ≥3× faster than the
+    full scan on the 100k-row workload."""
+    memory, ngram, results = _measure()
+    write_results(RESULTS_FILE, results)
     assert memory >= SPEEDUP_FLOOR * ngram, (
         f"indexed storage ({ngram * 1e3:.1f} ms) not ≥{SPEEDUP_FLOOR}× "
         f"faster than the scan ({memory * 1e3:.1f} ms)"
@@ -146,14 +150,11 @@ def test_storage_speedup_floor():
 
 
 def main() -> None:
-    plain, indexed = _databases()
-    answers = _run(plain)
-    assert _run(indexed) == answers
-    memory = _best_of(2, lambda: _run(plain))
-    ngram = _best_of(3, lambda: _run(indexed))
+    memory, ngram, results = _measure()
+    write_results(RESULTS_FILE, results, tracked=True)
     print(
-        f"rows: {ROWS}   answers: {len(answers)}   "
-        f"index build: {_STATE['build_seconds'] * 1e3:8.1f} ms"
+        f"rows: {ROWS}   answers: {results['answers']}   "
+        f"index build: {results['index_build_seconds'] * 1e3:8.1f} ms"
     )
     print(
         f"memory: {memory * 1e3:8.1f} ms   ngram: {ngram * 1e3:8.1f} ms   "

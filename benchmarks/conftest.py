@@ -6,14 +6,46 @@ fixtures provide deterministic workloads so runs are comparable.
 workloads — benchmarks that store relations behind a compressing
 backend record *both* expanded and stored bytes, so a "processed N
 bytes" claim in a ``BENCH_*.json`` is always explicit about which N
-it means.
+it means.  :func:`write_results` is where every gate's numbers go.
 """
+
+import json
+from pathlib import Path
 
 import pytest
 
 from repro.core.alphabet import AB, DNA
 from repro.core.database import Database
 from repro.workloads import generators
+
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+#: Where pytest runs of the speedup and latency gates write their
+#: results.  It is untracked (see ``.gitignore``), so running the
+#: benchmark smokes leaves the tree clean; CI uploads it as an artifact.
+RESULTS_DIR = REPO_ROOT / "bench-results"
+
+
+def write_results(filename: str, results: dict, *, tracked: bool = False) -> Path:
+    """Write one benchmark's results as indented JSON.
+
+    Args:
+        filename: The ``BENCH_*.json`` name.
+        results: The JSON-ready numbers.
+        tracked: ``True`` only for a direct script run
+            (``PYTHONPATH=src python benchmarks/bench_<name>.py``),
+            which records the committed ``filename`` at the repo root;
+            pytest runs write it under :data:`RESULTS_DIR` instead.
+
+    Returns:
+        The path written.
+    """
+    directory = REPO_ROOT if tracked else RESULTS_DIR
+    directory.mkdir(exist_ok=True)
+    path = directory / filename
+    path.write_text(json.dumps(results, indent=2) + "\n")
+    return path
 
 
 def byte_accounting(storages) -> dict:

@@ -40,6 +40,7 @@ from repro.storage import (
     Relation,
     RelationStorage,
     StorageFactory,
+    apply_storage_delta,
     is_storage,
     resolve_storage_factory,
 )
@@ -256,17 +257,18 @@ class Database:
         Deletes apply before inserts.  Inserted rows are validated
         against the alphabet and the target relation's arity; deleting
         an absent row (or from an unknown relation) is a no-op.  Each
-        storage backend derives its successor through its
-        ``apply_delta`` hook when it has one (in-memory and n-gram
-        backends do), falling back to a rebuilt
-        :class:`~repro.storage.InMemoryStorage` otherwise.
+        changed relation's successor comes from
+        :func:`~repro.storage.apply_storage_delta`: the backend's own
+        ``apply_delta`` hook (every built-in backend has one), or an
+        in-memory derivation for storages without it.
 
         The result shares this database's :attr:`lineage`; every
         relation that actually changed gets a fresh monotone
         :meth:`relation_version`.  A net no-op delta returns ``self``
         unchanged — and unchanged relations keep their exact storage
-        objects, so the update costs O(changed relations), not
-        O(database).
+        objects, so only the changed relations cost anything.  For an
+        in-memory relation ``R`` that cost is O(|Δ|) Python work to
+        validate the delta plus one C-level copy of ``R``'s frozenset.
 
         Args:
             delta: The canonical insert/delete sets to apply.
@@ -287,33 +289,19 @@ class Database:
         for name in delta.relations():
             inserts = delta.inserts_for(name)
             deletes = delta.deletes_for(name)
-            self._check_relation(name, frozenset(inserts))
-            current = relations.get(name)
-            if current is None:
-                if not inserts:
-                    continue
-                updated: RelationStorage = InMemoryStorage(inserts)
-            else:
-                if inserts:
-                    want = len(next(iter(inserts)))
-                    known = current.arity
-                    if known != want and (current.size() > 0 or known != 0):
-                        raise ArityError(
-                            f"relation {name!r} has arity {known}, cannot "
-                            f"insert rows of arity {want}"
-                        )
-                apply_hook = getattr(current, "apply_delta", None)
-                if apply_hook is not None:
-                    updated = apply_hook(inserts, deletes)
-                else:
-                    frozen = (current.tuples - deletes) | inserts
-                    if frozen == current.tuples:
-                        continue
-                    updated = InMemoryStorage(
-                        frozen, arity=current.arity or None
+            self._check_relation(name, inserts)
+            current = relations.get(name, EMPTY_STORAGE)
+            if inserts:
+                want = len(next(iter(inserts)))
+                known = current.arity
+                if known != want and (current.size() > 0 or known != 0):
+                    raise ArityError(
+                        f"relation {name!r} has arity {known}, cannot "
+                        f"insert rows of arity {want}"
                     )
-                if updated is current:
-                    continue
+            updated = apply_storage_delta(current, inserts, deletes)
+            if updated is current:
+                continue
             relations[name] = updated
             versions[name] = next(_VERSION_TICKS)
             changed = True

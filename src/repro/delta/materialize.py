@@ -170,10 +170,6 @@ class MaterializedStore:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def clear(self) -> None:
-        """Drop every entry (the stats are deliberately kept)."""
-        self._entries.clear()
-
     # -- incremental maintenance ----------------------------------------
 
     def maintain(

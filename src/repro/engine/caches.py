@@ -159,13 +159,6 @@ class KeyedCache:
     def __len__(self) -> int:
         return len(self._store)
 
-    def __contains__(self, key: Hashable) -> bool:
-        return key in self._store
-
-    def clear(self) -> None:
-        """Drop every entry (the stats are deliberately kept)."""
-        self._store.clear()
-
 
 @dataclass
 class EngineStats:

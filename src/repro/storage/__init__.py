@@ -36,6 +36,7 @@ from repro.storage.base import (
     Relation,
     RelationStats,
     RelationStorage,
+    apply_storage_delta,
     compute_stats,
     is_storage,
 )
@@ -172,6 +173,7 @@ __all__ = [
     "STORAGE_KINDS",
     "StorageFactory",
     "VERSION",
+    "apply_storage_delta",
     "compute_stats",
     "is_storage",
     "probe_candidates",

@@ -122,9 +122,9 @@ class RelationStorage(Protocol):
     Mutation is a *derivation*, not an update: backends may offer an
     optional ``apply_delta(inserts, deletes)`` returning a **new**
     storage holding ``(tuples - deletes) | inserts``, leaving the
-    receiver untouched.  :meth:`repro.core.database.Database.apply`
-    uses the hook when present and falls back to rebuilding an
-    :class:`InMemoryStorage` otherwise.
+    receiver untouched.  :func:`apply_storage_delta`, which
+    :meth:`repro.core.database.Database.apply` calls, uses the hook
+    when present and derives an :class:`InMemoryStorage` otherwise.
     """
 
     @property
@@ -171,6 +171,29 @@ def is_storage(value: object) -> bool:
     )
 
 
+def _one_arity(arities: set[int], declared: int | None) -> int:
+    """The one arity of rows whose lengths are ``arities``.
+
+    Args:
+        arities: The distinct row lengths (empty for no rows).
+        declared: The arity the rows must have, if any; it is also the
+            result when there are no rows.
+
+    Raises:
+        ArityError: If the rows mix arities or contradict ``declared``.
+    """
+    if len(arities) > 1:
+        raise ArityError(f"storage mixes tuple arities {sorted(arities)}")
+    if not arities:
+        return declared or 0
+    (derived,) = arities
+    if declared is not None and derived != declared:
+        raise ArityError(
+            f"declared arity {declared} does not match tuples of arity {derived}"
+        )
+    return derived
+
+
 class InMemoryStorage:
     """The default backend: a frozenset of tuples, everything eager.
 
@@ -191,20 +214,26 @@ class InMemoryStorage:
         arity: int | None = None,
     ) -> None:
         frozen = frozenset(tuple(row) for row in tuples)
-        arities = {len(row) for row in frozen}
-        if len(arities) > 1:
-            raise ArityError(
-                f"storage mixes tuple arities {sorted(arities)}"
-            )
-        derived = arities.pop() if arities else None
-        if derived is not None and arity is not None and derived != arity:
-            raise ArityError(
-                f"declared arity {arity} does not match tuples of arity {derived}"
-            )
-        self._tuples = frozen
-        self._arity = derived if derived is not None else (arity or 0)
+        self._adopt(frozen, _one_arity({len(row) for row in frozen}, arity))
+
+    def _adopt(self, tuples: frozenset[tuple[str, ...]], arity: int) -> None:
+        self._tuples = tuples
+        self._arity = arity
         self._stats: RelationStats | None = None
         self._columns: dict[int, tuple[str, ...]] = {}
+
+    @classmethod
+    def _trusted(
+        cls, tuples: frozenset[tuple[str, ...]], arity: int
+    ) -> "InMemoryStorage":
+        """A storage over rows already known to have ``arity``.
+
+        The private constructor path of derived versions: it holds
+        ``tuples`` as given and makes no per-row pass.
+        """
+        store = cls.__new__(cls)
+        store._adopt(tuples, arity)
+        return store
 
     @property
     def arity(self) -> int:
@@ -249,9 +278,14 @@ class InMemoryStorage:
     ) -> "InMemoryStorage":
         """Derive a new storage with ``deletes`` removed, ``inserts`` added.
 
-        Costs O(|R| + |Δ|): the set difference and union copy the whole
-        relation, and the new storage re-validates every row's arity.
-        The receiver is untouched.
+        Validates only the delta: the inserted rows' arity is checked
+        against the rows that stay, with the constructor's errors.
+        Whether anything changes is decided in O(|Δ|) from
+        ``removed = (deletes − inserts) ∩ R`` and ``added = inserts − R``;
+        the successor ``(R | added) − removed`` then costs one C-level
+        copy of ``R``'s frozenset and no Python pass over its rows.  The
+        receiver is untouched, and the successor computes its own
+        statistics and columns on first request.
 
         Args:
             inserts: Rows to add (applied after the deletes).
@@ -260,17 +294,66 @@ class InMemoryStorage:
         Returns:
             The derived storage, or ``self`` when the delta is a no-op
             on this relation's contents.
+
+        Raises:
+            ArityError: If the resulting rows would mix arities or
+                contradict this relation's declared arity.
         """
-        updated = (self._tuples - deletes) | inserts
-        if updated == self._tuples:
+        tuples = self._tuples
+        inserted = frozenset(tuple(row) for row in inserts)
+        added = inserted - tuples
+        removed = (deletes - inserted) & tuples
+        if not added and not removed:
             return self
-        return InMemoryStorage(updated, arity=self._arity or None)
+        arities = {len(row) for row in added}
+        if len(removed) < len(tuples):
+            arities.add(self._arity)
+        arity = _one_arity(arities, self._arity or None)
+        # ``added`` is disjoint from R and ``removed`` lies inside it, so
+        # toggling both in R yields ``(R | added) - removed``; CPython's
+        # ``^`` copies its right operand, one C-level copy of R.
+        updated = (added | removed) ^ tuples
+        return InMemoryStorage._trusted(updated, arity)
 
     def __reduce__(self):
         return (InMemoryStorage, (self._tuples, self._arity))
 
     def __repr__(self) -> str:
         return f"InMemoryStorage({len(self._tuples)} rows, arity {self._arity})"
+
+
+def apply_storage_delta(
+    storage: RelationStorage,
+    inserts: frozenset[tuple[str, ...]],
+    deletes: frozenset[tuple[str, ...]],
+) -> RelationStorage:
+    """Derive ``(tuples − deletes) | inserts`` from any backend.
+
+    A backend's own ``apply_delta`` hook answers when it has one.  Any
+    other storage is read as an :class:`InMemoryStorage` over its
+    ``tuples`` — trusted, as :class:`~repro.core.database.Database`
+    trusts every storage it adopts — and derived in memory, so the
+    deletes-then-inserts step has one implementation.
+
+    Args:
+        storage: The relation's current backend.
+        inserts: Rows to add (applied after the deletes).
+        deletes: Rows to remove.
+
+    Returns:
+        The derived storage, or ``storage`` itself when the delta is a
+        no-op on its contents.
+
+    Raises:
+        ArityError: If the resulting rows would mix arities or
+            contradict the relation's declared arity.
+    """
+    hook = getattr(storage, "apply_delta", None)
+    if hook is not None:
+        return hook(inserts, deletes)
+    view = InMemoryStorage._trusted(frozenset(storage.tuples), storage.arity)
+    updated = view.apply_delta(inserts, deletes)
+    return storage if updated is view else updated
 
 
 #: The storage every unknown relation symbol denotes: empty, arity 0.

@@ -3,12 +3,73 @@
 import pickle
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.core.alphabet import AB
+from repro.core.database import Database
+from repro.delta import Delta
 from repro.errors import ArityError
 from repro.observability import Tracer, activate
-from repro.storage import InMemoryStorage, NGramIndexStorage
+from repro.storage import InMemoryStorage, NGramIndexStorage, is_storage
 
 ROWS = [("gcgc",), ("acgt",), ("ttag",)]
+
+_CELLS = st.text(alphabet="ab", max_size=2)
+
+
+def _rows(arity):
+    return st.tuples(*[_CELLS] * arity)
+
+
+_ANY_ROW = st.one_of(_rows(1), _rows(2))
+
+
+@st.composite
+def _stores(draw):
+    """Relations of arity 1–2, possibly empty, or the undeclared arity 0."""
+    arity = draw(st.sampled_from([0, 1, 2]))
+    if arity == 0:
+        return InMemoryStorage([])
+    return InMemoryStorage(
+        draw(st.frozensets(_rows(arity), max_size=6)), arity=arity
+    )
+
+
+@st.composite
+def _cases(draw):
+    """A store plus a delta mixing present, absent and shared rows."""
+    store = draw(_stores())
+    present = sorted(store.tuples)
+    stored_row = st.sampled_from(present) if present else st.nothing()
+    own_arity = _rows(store.arity) if store.arity else _ANY_ROW
+    deletes = set(
+        draw(st.frozensets(st.one_of(stored_row, _ANY_ROW), max_size=4))
+    )
+    if draw(st.booleans()):
+        deletes |= store.tuples
+    deleted_row = st.sampled_from(sorted(deletes)) if deletes else st.nothing()
+    inserts = draw(
+        st.frozensets(
+            st.one_of(stored_row, deleted_row, own_arity, _ANY_ROW),
+            max_size=4,
+        )
+    )
+    return store, frozenset(inserts), frozenset(deletes)
+
+
+def _everything_deleted_other_arity_inserted():
+    store = InMemoryStorage([("a",), ("b",)])
+    return store, frozenset({("a", "b")}), store.tuples
+
+
+def _snapshot(store):
+    return (
+        store.tuples,
+        store.arity,
+        store.stats(),
+        [store.column(k) for k in range(store.arity)],
+    )
 
 
 def _candidate_rows(store, column, factor):
@@ -28,6 +89,114 @@ class TestInMemoryApplyDelta:
         store = InMemoryStorage([("a",)])
         assert store.apply_delta(frozenset({("a",)}), frozenset()) is store
         assert store.apply_delta(frozenset(), frozenset({("zz",)})) is store
+
+    @settings(max_examples=300, deadline=None)
+    @given(_cases())
+    @example(_everything_deleted_other_arity_inserted())
+    @example((InMemoryStorage([]), frozenset({("a",), ("a", "b")}), frozenset()))
+    @example(
+        (InMemoryStorage([], arity=2), frozenset({("b",)}), frozenset({("b",)}))
+    )
+    def test_matches_the_rebuild(self, case):
+        """Differential: the delta-only derivation against the rebuild
+        ``InMemoryStorage((R - deletes) | inserts)`` it replaces."""
+        store, inserts, deletes = case
+        before = _snapshot(store)
+        try:
+            expected = InMemoryStorage(
+                (store.tuples - deletes) | inserts,
+                arity=store.arity or None,
+            )
+        except ArityError as error:
+            with pytest.raises(ArityError) as raised:
+                store.apply_delta(inserts, deletes)
+            assert str(raised.value) == str(error)
+        else:
+            result = store.apply_delta(inserts, deletes)
+            assert (result is store) == (expected.tuples == store.tuples)
+            assert type(result.tuples) is frozenset
+            assert result.tuples == expected.tuples
+            assert result.arity == expected.arity
+            assert result.size() == expected.size()
+            assert result.stats() == expected.stats()
+            for k in range(expected.arity):
+                assert result.column(k) == expected.column(k)
+        assert store.tuples is before[0]
+        assert _snapshot(store) == before
+        fresh = InMemoryStorage(store.tuples, arity=store.arity or None)
+        assert _snapshot(fresh) == before
+
+
+class _HooklessStorage:
+    """A third-party backend: the read protocol, no ``apply_delta``."""
+
+    def __init__(self, rows, arity):
+        self._rows = frozenset(rows)
+        self.arity = arity
+
+    @property
+    def tuples(self):
+        return self._rows
+
+    def scan(self):
+        return iter(self._rows)
+
+    def contains(self, row):
+        return row in self._rows
+
+    def column(self, index):
+        return tuple(sorted({row[index] for row in self._rows}))
+
+    def size(self):
+        return len(self._rows)
+
+    def stats(self):
+        return InMemoryStorage(self._rows, arity=self.arity).stats()
+
+
+class TestStorageWithoutHook:
+    """``Database.apply`` derives hookless storages in memory."""
+
+    def _database(self):
+        duck = _HooklessStorage([("a", "b"), ("b", "b")], arity=2)
+        assert is_storage(duck) and not hasattr(duck, "apply_delta")
+        return duck, Database(AB, {"R": duck})
+
+    def test_applies_deletes_then_inserts(self):
+        duck, db = self._database()
+        updated = db.apply(
+            Delta.of(
+                inserts={"R": [("ab", "a"), ("b", "b")]},
+                deletes={"R": [("a", "b"), ("b", "b")]},
+            )
+        )
+        assert updated.relation("R") == {("ab", "a"), ("b", "b")}
+        assert isinstance(updated.storage("R"), InMemoryStorage)
+        assert updated.arity("R") == 2
+        assert updated.relation_version("R") > db.relation_version("R")
+        assert duck.tuples == {("a", "b"), ("b", "b")}
+        assert db.storage("R") is duck
+
+    def test_net_noop_keeps_the_storage(self):
+        duck, db = self._database()
+        delta = Delta.of(
+            inserts={"R": [("a", "b")]}, deletes={"R": [("aa", "aa")]}
+        )
+        assert db.apply(delta) is db
+        assert db.storage("R") is duck
+
+    def test_deleting_every_row_keeps_the_arity(self):
+        duck, db = self._database()
+        emptied = db.apply(Delta.of(deletes={"R": list(duck.tuples)}))
+        assert len(emptied.relation("R")) == 0
+        assert emptied.arity("R") == 2
+        with pytest.raises(ArityError, match="cannot insert rows of arity 1"):
+            emptied.apply(Delta.of(inserts={"R": [("a",)]}))
+
+    def test_wrong_arity_insert_raises(self):
+        _, db = self._database()
+        with pytest.raises(ArityError, match="has arity 2"):
+            db.apply(Delta.of(inserts={"R": [("a",)]}))
 
 
 class TestNGramApplyDelta:
