@@ -327,10 +327,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="worker processes for sharded evaluation by the auto "
-        "engine (default: one per CPU; auto pools only expensive plan "
-        "branches and candidate spaces, 1 forces sequential, the "
-        "other engines ignore it). Answers are identical for every "
-        "worker count.",
+        "engine (default: one per CPU this process may use; auto "
+        "pools only expensive plan branches and candidate spaces, 1 "
+        "forces sequential, the other engines ignore it). Answers are "
+        "identical for every worker count.",
     )
     query.add_argument(
         "--storage",

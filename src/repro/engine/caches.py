@@ -213,18 +213,16 @@ class EngineStats:
         snapshot = report.snapshot()
         totals = self.parallel
         totals["runs"] = totals.get("runs", 0) + 1
-        if snapshot.get("mode") == "parallel":
-            totals["pooled_runs"] = totals.get("pooled_runs", 0) + 1
+        totals["pooled_runs"] = totals.get("pooled_runs", 0) + int(
+            snapshot.get("pooled", False)
+        )
         totals["workers"] = max(
             totals.get("workers", 1), snapshot.get("workers", 1)
         )
         for key in (
             "shards_planned",
             "shards_completed",
-            "retries",
-            "resplits",
-            "timeouts",
-            "failures",
+            "restarts",
             "wall_seconds",
             "task_seconds",
             "cache_hits",

@@ -49,6 +49,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Bound on the session's ``generate`` cache (oldest entry evicted).
 MAX_GENERATED_ENTRIES = 4096
 
+#: The pooling floor: fewer generate misses than this are computed
+#: in-process even when an executor is given, because a pool round
+#: trip would cost more than it saves.
+MIN_POOLED_MISSES = 32
+
 
 class QueryEngine:
     """A query-evaluation session with per-artifact caches.
@@ -218,7 +223,8 @@ class QueryEngine:
         the machine's bound tapes (Lemma 3.1).  The distinct keys are
         looked up once each in the ``generate`` cache; the misses are
         computed in-process (specialize, then ``accepted_tuples``) or,
-        given an ``executor``, shipped to its pool as
+        given an ``executor`` and at least :data:`MIN_POOLED_MISSES`
+        of them, shipped to its pool as
         :class:`~repro.parallel.tasks.GenerateShardTask` batches.
         Either way the results are stored, so the cache counts do not
         depend on where a miss was computed.  A worker-computed miss
@@ -251,9 +257,7 @@ class QueryEngine:
             tracer.add("generate.cache_hits", hits)
         if executor is not None:
             executor.report.cache_hits += hits
-        if not pending:
-            return answers
-        if executor is None:
+        if executor is None or len(pending) < MIN_POOLED_MISSES:
             for key in pending:
                 answers[key] = self._generate.get_or_compute(
                     (fsa, cap, key),

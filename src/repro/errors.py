@@ -75,21 +75,21 @@ class UnboundedQueryError(EvaluationError):
 
 
 class ParallelExecutionError(EvaluationError):
-    """A sharded parallel evaluation failed after exhausting retries.
+    """The worker pool could not run a sharded evaluation.
 
-    Raised by :mod:`repro.parallel` when a shard keeps failing through
-    the full retry/re-split budget; the partial results of the other
-    shards are discarded so a parallel answer is never silently
-    incomplete.
+    Raised by :mod:`repro.parallel` for a malformed shard plan or
+    worker count, and (as :class:`WorkerCrashError`) when workers keep
+    dying.  An exception raised by a task itself is not wrapped: it
+    reaches the caller unchanged.
     """
 
 
-class ShardTimeoutError(ParallelExecutionError):
-    """A shard exceeded its per-shard timeout on every retry."""
-
-
 class WorkerCrashError(ParallelExecutionError):
-    """A worker process died (rather than raised) on every retry."""
+    """A worker process died (rather than raised) in every rebuilt pool.
+
+    The partial results of the other shards are discarded, so a
+    parallel answer is never silently incomplete.
+    """
 
 
 class ServiceError(ReproError):

@@ -56,7 +56,7 @@ class TraceReport:
             spans only: a span nested inside a same-stage parent is
             already covered by the parent's duration.
         counters: Accumulated typed counters (worker counters folded
-            in), e.g. ``simulate.configurations``, ``executor.retries``.
+            in), e.g. ``simulate.configurations``, ``executor.restarts``.
         gauges: Last-value gauges, e.g. ``naive.candidate_space``.
         caches: Per-cache hit/miss/seconds snapshots from the session.
         engines: Per-engine evaluation counts and seconds.
@@ -265,15 +265,14 @@ class TraceReport:
         if self.parallel.get("runs"):
             totals = self.parallel
             lines.append(
-                "parallel runs={runs} shards={done}/{planned} "
-                "retries={retries} resplits={resplits} timeouts={timeouts} "
+                "parallel runs={runs} pooled={pooled} "
+                "shards={done}/{planned} restarts={restarts} "
                 "cache_hits={cache_hits} wall={wall:.4f}s cpu={cpu:.4f}s".format(
                     runs=totals.get("runs", 0),
+                    pooled=totals.get("pooled_runs", 0),
                     done=totals.get("shards_completed", 0),
                     planned=totals.get("shards_planned", 0),
-                    retries=totals.get("retries", 0),
-                    resplits=totals.get("resplits", 0),
-                    timeouts=totals.get("timeouts", 0),
+                    restarts=totals.get("restarts", 0),
                     cache_hits=totals.get("cache_hits", 0),
                     wall=totals.get("wall_seconds", 0.0),
                     cpu=totals.get("task_seconds", 0.0),

@@ -5,23 +5,24 @@ space of the reference semantics, and the generator runs of Definition
 3.1 (one Lemma 3.1 specialization per bound tuple).  This package
 supplies the pieces:
 
-* :class:`~repro.parallel.sharding.ShardPlanner` /
-  :class:`~repro.parallel.sharding.Shard` — deterministic,
-  cache-key-stable partitioning of any ``[0, total)`` index space;
+* :func:`~repro.parallel.sharding.plan_shards` — deterministic
+  partitioning of any ``[0, total)`` index space into ``range``
+  shards, and :func:`~repro.parallel.sharding.decode_candidate`, the
+  mixed-radix decoding of a naive candidate index;
 * :mod:`~repro.parallel.tasks` — picklable shard task descriptors and
-  the module-level worker entry point, plus the
-  :class:`~repro.parallel.tasks.ChaosPolicy` fault-injection hook;
+  the module-level worker entry point;
 * :class:`~repro.parallel.executor.ParallelExecutor` — the
-  ``concurrent.futures`` pool driver with per-shard timeouts, crash
-  recovery, retry-with-re-splitting, a sequential fallback and the
-  :class:`~repro.parallel.executor.ExecutionReport` accounting.
+  ``concurrent.futures`` pool runner: a task's exception reaches the
+  caller unchanged, a dead worker is recovered by rebuilding the pool,
+  and every run is accounted in an
+  :class:`~repro.parallel.executor.ExecutionReport`.
 
 Only the ``auto`` engine of :mod:`repro.engine.strategies` builds an
 executor, from the ``workers=`` argument of ``QueryEngine.evaluate``
 and its cost estimates.  Generator runs reach the pool through one
-place, ``QueryEngine.generated``, which serves cache hits first and
-stores what the workers return; this package is engine-agnostic
-plumbing.
+place, ``QueryEngine.generated``, which serves cache hits first,
+computes small batches of misses in-process and ships the rest to the
+workers; this package is engine-agnostic plumbing.
 """
 
 from repro.parallel.executor import (
@@ -30,22 +31,16 @@ from repro.parallel.executor import (
     default_worker_count,
     shutdown_pools,
 )
-from repro.parallel.sharding import Shard, ShardPlanner, decode_candidate
-from repro.parallel.tasks import (
-    ChaosPolicy,
-    GenerateShardTask,
-    NaiveShardTask,
-)
+from repro.parallel.sharding import decode_candidate, plan_shards
+from repro.parallel.tasks import GenerateShardTask, NaiveShardTask
 
 __all__ = [
-    "ChaosPolicy",
     "ExecutionReport",
     "GenerateShardTask",
     "NaiveShardTask",
     "ParallelExecutor",
-    "Shard",
-    "ShardPlanner",
     "decode_candidate",
     "default_worker_count",
+    "plan_shards",
     "shutdown_pools",
 ]

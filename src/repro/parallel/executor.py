@@ -1,75 +1,59 @@
 """The process-pool execution layer behind ``workers=`` evaluation.
 
 A :class:`ParallelExecutor` takes a list of shard tasks
-(:mod:`repro.parallel.tasks`), runs them across a
+(:mod:`repro.parallel.tasks`), runs them on a
 :class:`concurrent.futures.ProcessPoolExecutor`, and merges nothing —
 it hands back raw per-shard results and lets the caller fold them,
 because the fold differs per task kind (set union for naive shards,
 positional merge for generator batches).
 
-Robustness is the point of this module rather than an afterthought:
+Every task is deterministic, so the executor has one failure policy:
 
-* **per-shard timeouts** — every submitted shard carries a deadline;
-  an overdue shard is abandoned (its worker finishes in the
-  background) and re-run as smaller shards;
-* **retry with re-splitting** — a failed or timed-out shard is split
-  in half (:meth:`~repro.parallel.sharding.Shard.split`) and both
-  halves retried with a bumped ``generation``; shards keep shrinking
-  until they succeed or the generation budget ``max_retries`` is
-  exhausted, at which point a typed
-  :class:`~repro.errors.ParallelExecutionError` subclass propagates;
-* **worker-crash recovery** — a :class:`BrokenProcessPool` invalidates
-  the pool, a fresh one is built, and every in-flight shard is
-  resubmitted;
-* **sequential fallback** — with one worker, or when the total work is
-  below ``min_parallel_items``, tasks run in-process through exactly
-  the same retry machinery (timeouts excepted: an in-process shard
-  cannot be interrupted).
+* **a task error passes through** — the exception of the first
+  failing task in plan order reaches the caller as raised (the error
+  an in-process run over the same order meets first), the run's
+  pending futures are cancelled, and the task is never re-run, since
+  a re-run would fail the same way;
+* **a dead worker is recovered** — a :class:`BrokenProcessPool`
+  discards the pool, a fresh one is built and the unfinished tasks are
+  resubmitted unchanged, up to :data:`MAX_POOL_RESTARTS` times per
+  run, after which :class:`~repro.errors.WorkerCrashError` is raised.
 
-Worker pools are shared per worker-count across the process (fork
-start-up is cheap but not free); fault-injected runs always get a
-private pool so abandoned hung workers cannot pollute later runs.
+Worker pools are shared per worker count across the process (fork
+start-up is cheap but not free).
 
 Every run accumulates into an :class:`ExecutionReport` — shard,
-retry, timeout and wall/CPU-time accounting surfaced through
+restart and wall/CPU-time accounting surfaced through
 ``QueryEngine.stats`` and the CLI ``--stats`` flag.
 """
 
 from __future__ import annotations
 
 import os
-from collections import deque
 from collections.abc import Sequence
-from contextlib import nullcontext
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    Future,
-    ProcessPoolExecutor,
-    wait,
-)
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
-from time import monotonic, perf_counter
+from dataclasses import asdict, dataclass
+from time import perf_counter
 from typing import Any
 
-from repro.errors import (
-    ParallelExecutionError,
-    ShardTimeoutError,
-    WorkerCrashError,
-)
-from repro.observability import NULL_TRACER, activate
-from repro.parallel.sharding import ShardPlanner
-from repro.parallel.tasks import ChaosPolicy, execute_task
+from repro.errors import ParallelExecutionError, WorkerCrashError
+from repro.observability import NULL_TRACER
+from repro.parallel.sharding import OVERSHARD_FACTOR, plan_shards
+from repro.parallel.tasks import execute_task
 
-#: Below this many total candidate items a pool round trip costs more
-#: than it saves and the executor falls back to in-process execution.
-DEFAULT_MIN_PARALLEL_ITEMS = 32
+#: Pool rebuilds one run may make after its workers died; the next
+#: death raises :class:`~repro.errors.WorkerCrashError`.
+MAX_POOL_RESTARTS = 2
 
 
 @dataclass
 class ExecutionReport:
     """Structured accounting for one parallel evaluation.
 
+    ``pooled`` tells whether any task reached the pool (the session
+    may compute small batches in-process even when it holds an
+    executor); ``restarts`` counts pools rebuilt after a worker died.
     ``task_seconds`` sums per-shard compute time across all workers —
     the CPU-time counterpart of ``wall_seconds``, so ``task_seconds /
     wall_seconds`` approximates achieved parallelism.  ``cache_hits``
@@ -77,33 +61,18 @@ class ExecutionReport:
     ``generate`` cache instead of being dispatched at all.
     """
 
-    mode: str = "sequential"
     workers: int = 1
+    pooled: bool = False
     shards_planned: int = 0
     shards_completed: int = 0
-    retries: int = 0
-    resplits: int = 0
-    timeouts: int = 0
-    failures: int = 0
+    restarts: int = 0
     wall_seconds: float = 0.0
     task_seconds: float = 0.0
     cache_hits: int = 0
 
     def snapshot(self) -> dict[str, Any]:
         """A plain-dict view of the report, stable for tests and JSON."""
-        return {
-            "mode": self.mode,
-            "workers": self.workers,
-            "shards_planned": self.shards_planned,
-            "shards_completed": self.shards_completed,
-            "retries": self.retries,
-            "resplits": self.resplits,
-            "timeouts": self.timeouts,
-            "failures": self.failures,
-            "wall_seconds": self.wall_seconds,
-            "task_seconds": self.task_seconds,
-            "cache_hits": self.cache_hits,
-        }
+        return asdict(self)
 
 
 # -- shared worker pools ----------------------------------------------------
@@ -126,298 +95,133 @@ def _discard_pool(workers: int, pool: ProcessPoolExecutor) -> None:
 
 
 def shutdown_pools() -> None:
-    """Shut down every shared worker pool (used by tests/atexit)."""
+    """Shut down every shared worker pool; the next run builds afresh."""
     for workers in list(_POOLS):
         _discard_pool(workers, _POOLS[workers])
 
 
 def default_worker_count() -> int:
-    """The CPU count of this machine (at least 1)."""
+    """The number of CPUs this process may run on (at least 1)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) or 1
     return os.cpu_count() or 1
 
 
 class ParallelExecutor:
-    """Runs shard tasks with retry, re-splitting and timeouts.
+    """Runs shard tasks on a shared worker pool.
 
     One executor accumulates one :class:`ExecutionReport` across any
     number of :meth:`run` calls — the engines create an executor per
     query evaluation so the report describes exactly that evaluation.
     """
 
-    def __init__(
-        self,
-        workers: int | None = None,
-        *,
-        timeout: float | None = None,
-        max_retries: int = 2,
-        chaos: ChaosPolicy | None = None,
-        min_parallel_items: int = DEFAULT_MIN_PARALLEL_ITEMS,
-        planner: ShardPlanner | None = None,
-        tracer=None,
-    ) -> None:
+    def __init__(self, workers: int | None = None, *, tracer=None) -> None:
         """Configure the executor; no workers start until :meth:`run`.
 
         Args:
-            workers: Worker-process count (default: CPU count).
-            timeout: Per-shard deadline in seconds; ``None`` disables
-                timeout handling.
-            max_retries: Retry-generation budget per shard chain.
-            chaos: Optional deterministic fault-injection policy; its
-                presence forces a private worker pool.
-            min_parallel_items: Total-item threshold below which the
-                sequential fallback is used.
-            planner: Shard planner (default: a fresh
-                :class:`~repro.parallel.sharding.ShardPlanner`).
+            workers: Worker-process count (default:
+                :func:`default_worker_count`).
             tracer: An :class:`~repro.observability.Tracer` recording
                 shard planning and execution spans; worker-side spans
                 are folded back into it.  Defaults to the no-op
                 :data:`~repro.observability.NULL_TRACER`.
 
         Raises:
-            ParallelExecutionError: If ``max_retries`` is negative or
-                ``workers`` is not positive.
+            ParallelExecutionError: If ``workers`` is not positive.
         """
-        if max_retries < 0:
-            raise ParallelExecutionError("max_retries must be non-negative")
         self.workers = workers if workers is not None else default_worker_count()
         if self.workers < 1:
             raise ParallelExecutionError("worker count must be positive")
-        self.timeout = timeout
-        self.max_retries = max_retries
-        self.chaos = chaos
-        self.min_parallel_items = min_parallel_items
-        self.planner = planner or ShardPlanner()
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.report = ExecutionReport(workers=self.workers)
 
-    # -- planning helpers ----------------------------------------------
-
-    def plan(self, total: int):
-        """Shard ``[0, total)`` with this executor's planner + workers."""
+    def plan(self, total: int) -> tuple[range, ...]:
+        """Shard ``[0, total)`` into ``workers × OVERSHARD_FACTOR`` ranges."""
         with self.tracer.span(
             "shard.plan", stage="shard", total=total, workers=self.workers
         ):
-            shards = self.planner.plan(total, self.workers)
+            shards = plan_shards(total, self.workers * OVERSHARD_FACTOR)
         self.tracer.add("shard.shards_planned", len(shards))
         return shards
 
-    # -- execution ------------------------------------------------------
-
     def run(self, tasks: Sequence[Any]) -> list[Any]:
-        """Execute ``tasks``, returning raw per-shard results.
+        """Execute ``tasks`` on the pool, returning raw per-shard results.
 
-        Results are unordered and may come from re-split sub-shards;
-        positional task kinds embed global indices for exactly that
-        reason.  Raises a :class:`ParallelExecutionError` subclass when
-        any shard chain exhausts its retry budget.
+        Results are collected in plan order (tasks resubmitted after a
+        worker died come last); positional task kinds embed global
+        indices, so the caller's fold does not depend on the order.
+
+        Raises:
+            Exception: Whatever the first failing task in plan order
+                raised, unchanged — the error an in-process run over
+                the same order meets first.
+            WorkerCrashError: When workers keep dying after
+                :data:`MAX_POOL_RESTARTS` pool rebuilds.
         """
         if not tasks:
             return []
+        self.report.pooled = True
         self.report.shards_planned += len(tasks)
-        total_items = sum(task.shard.size for task in tasks)
-        use_pool = (
-            self.workers > 1 and total_items >= self.min_parallel_items
-        )
         started = perf_counter()
         with self.tracer.span(
             "executor.run",
-            mode="parallel" if use_pool else "sequential",
             workers=self.workers,
             tasks=len(tasks),
-            items=total_items,
+            items=sum(len(task.shard) for task in tasks),
         ):
             try:
-                if use_pool:
-                    self.report.mode = "parallel"
-                    return self._run_pooled(list(tasks))
-                return self._run_sequential(list(tasks))
+                return self._drive_pool(list(tasks))
             finally:
                 self.report.wall_seconds += perf_counter() - started
 
-    # -- shared failure handling ----------------------------------------
-
-    def _giving_up(self, task: Any, kind: str) -> ParallelExecutionError:
-        detail = (
-            f"shard [{task.shard.start}, {task.shard.stop}) failed after "
-            f"{task.shard.generation} retry generation(s) "
-            f"(budget {self.max_retries})"
+    def _drive_pool(self, tasks: list[Any]) -> list[Any]:
+        results: list[Any] = []
+        for attempt in range(MAX_POOL_RESTARTS + 1):
+            if attempt:
+                self.report.restarts += 1
+                self.tracer.add("executor.restarts")
+            pool = _shared_pool(self.workers)
+            tasks = self._attempt(pool, tasks, results)
+            if not tasks:
+                return results
+            _discard_pool(self.workers, pool)
+        raise WorkerCrashError(
+            f"a worker process died in each of {MAX_POOL_RESTARTS + 1} "
+            f"pools; {len(tasks)} task(s) never finished"
         )
-        if kind == "timeout":
-            return ShardTimeoutError(f"{detail}: last failure was a timeout")
-        if kind == "crash":
-            return WorkerCrashError(
-                f"{detail}: last failure was a worker-process death"
-            )
-        return ParallelExecutionError(f"{detail}: last failure was an error")
 
-    def _retry_tasks(self, task: Any, kind: str) -> list[Any]:
-        """Re-split a failed task into retry tasks, or raise.
-
-        Args:
-            task: The failed shard task.
-            kind: The failure class — ``"failure"``, ``"timeout"`` or
-                ``"crash"`` — selecting the error type when the retry
-                budget is exhausted.
+    def _attempt(
+        self, pool: ProcessPoolExecutor, tasks: list[Any], results: list[Any]
+    ) -> list[Any]:
+        """Run ``tasks`` on ``pool``, appending to ``results``.
 
         Returns:
-            The replacement tasks (usually the two halves of the shard
-            with a bumped generation).
-
-        Raises:
-            ParallelExecutionError: When ``task`` has already used its
-                ``max_retries`` generations (a typed subclass matching
-                ``kind``).
+            The tasks a dead worker left unfinished (empty when the
+            pool stayed whole).
         """
-        self.report.failures += 1
-        self.tracer.add("executor.failures")
-        if kind == "timeout":
-            self.report.timeouts += 1
-            self.tracer.add("executor.timeouts")
-        if task.shard.generation >= self.max_retries:
-            raise self._giving_up(task, kind)
-        children = task.shard.split(2)
-        if len(children) > 1:
-            self.report.resplits += 1
-            self.tracer.add("executor.resplits")
-        self.report.retries += 1
-        self.tracer.add("executor.retries")
-        return [task.narrowed(shard) for shard in children]
-
-    # -- sequential fallback --------------------------------------------
-
-    def _run_sequential(self, tasks: list[Any]) -> list[Any]:
-        """Run every task in-process under this executor's tracer."""
-        tracer = self.tracer
-        results: list[Any] = []
-        queue = deque(tasks)
-        # Only claim the ambient-tracer slot when actually tracing:
-        # activating the null tracer would silence any caller-activated
-        # tracer for the duration of the run.
-        scope = activate(tracer) if tracer.enabled else nullcontext()
-        with scope:
-            while queue:
-                task = queue.popleft()
+        traced = self.tracer.enabled
+        try:
+            futures = [
+                pool.submit(execute_task, task, traced) for task in tasks
+            ]
+        except BrokenProcessPool:
+            return tasks
+        unfinished = []
+        try:
+            for task, future in zip(tasks, futures):
                 try:
-                    with tracer.span(
-                        "execute.shard",
-                        stage="execute",
-                        kind=type(task).__name__,
-                        start=task.shard.start,
-                        stop=task.shard.stop,
-                        generation=task.shard.generation,
-                    ):
-                        result, seconds, _ = execute_task(
-                            task, self.chaos, in_worker=False
-                        )
-                except Exception:
-                    queue.extend(self._retry_tasks(task, "failure"))
+                    result, seconds, trace = future.result()
+                except BrokenProcessPool:
+                    unfinished.append(task)
                     continue
                 results.append(result)
                 self.report.shards_completed += 1
                 self.report.task_seconds += seconds
-        return results
-
-    # -- pooled execution -----------------------------------------------
-
-    def _run_pooled(self, tasks: list[Any]) -> list[Any]:
-        private = self.chaos is not None
-        pool = (
-            ProcessPoolExecutor(max_workers=self.workers)
-            if private
-            else _shared_pool(self.workers)
-        )
-        try:
-            return self._drive_pool(pool, tasks, private)
-        finally:
-            if private:
-                pool.shutdown(wait=False, cancel_futures=True)
-
-    def _drive_pool(
-        self,
-        pool: ProcessPoolExecutor,
-        tasks: list[Any],
-        private: bool,
-    ) -> list[Any]:
-        results: list[Any] = []
-        pending: dict[Future, tuple[Any, float | None]] = {}
-        traced = self.tracer.enabled
-
-        def submit(task: Any) -> None:
-            nonlocal pool
-            deadline = (
-                monotonic() + self.timeout if self.timeout is not None else None
-            )
-            try:
-                future = pool.submit(
-                    execute_task, task, self.chaos, traced=traced
-                )
-            except BrokenProcessPool:
-                pool = self._replace_pool(pool, private)
-                future = pool.submit(
-                    execute_task, task, self.chaos, traced=traced
-                )
-            pending[future] = (task, deadline)
-
-        for task in tasks:
-            submit(task)
-
-        while pending:
-            now = monotonic()
-            deadlines = [d for _, d in pending.values() if d is not None]
-            wait_for = (
-                max(0.0, min(deadlines) - now) if deadlines else None
-            )
-            done, _ = wait(
-                set(pending), timeout=wait_for, return_when=FIRST_COMPLETED
-            )
-            retry_queue: list[Any] = []
-            broken = False
-            for future in done:
-                task, _deadline = pending.pop(future)
-                try:
-                    result, seconds, trace = future.result()
-                except BrokenProcessPool:
-                    broken = True
-                    retry_queue.extend(self._retry_tasks(task, "crash"))
-                except Exception:
-                    retry_queue.extend(self._retry_tasks(task, "failure"))
-                else:
-                    results.append(result)
-                    self.report.shards_completed += 1
-                    self.report.task_seconds += seconds
-                    if trace is not None:
-                        pid, records, counters, gauges = trace
-                        self.tracer.absorb(
-                            records, counters, gauges, worker=pid
-                        )
-            # Scan for overdue shards: abandon their futures (a running
-            # worker cannot be interrupted) and re-split the work.
-            now = monotonic()
-            for future in [
-                f
-                for f, (_, deadline) in pending.items()
-                if deadline is not None and deadline <= now
-            ]:
-                task, _deadline = pending.pop(future)
+                if trace is not None:
+                    pid, records, counters, gauges = trace
+                    self.tracer.absorb(records, counters, gauges, worker=pid)
+        except BaseException:
+            for future in futures:
                 future.cancel()
-                retry_queue.extend(self._retry_tasks(task, "timeout"))
-            if broken:
-                pool = self._replace_pool(pool, private)
-                # Every other in-flight future died with the pool;
-                # recover their tasks for resubmission.
-                for future, (task, _deadline) in list(pending.items()):
-                    pending.pop(future)
-                    retry_queue.extend(self._retry_tasks(task, "crash"))
-            for task in retry_queue:
-                submit(task)
-        return results
-
-    def _replace_pool(
-        self, pool: ProcessPoolExecutor, private: bool
-    ) -> ProcessPoolExecutor:
-        if private:
-            pool.shutdown(wait=False, cancel_futures=True)
-            return ProcessPoolExecutor(max_workers=self.workers)
-        _discard_pool(self.workers, pool)
-        return _shared_pool(self.workers)
-
+            raise
+        return unfinished

@@ -3,20 +3,15 @@
 This is the planning half of :mod:`repro.parallel`.
 
 The alignment-algebra semantics make evaluation embarrassingly
-parallel: the ``Σ^{<=l}`` domain pool, the naive engine's head-tuple
-cross product ``domain^k``, the planner's per-binding generator runs
-and the algebra's ``σ_A(F × (Σ*)^n)`` row loop all iterate a finite
-index space whose elements are independent.  A :class:`ShardPlanner`
+parallel: the naive engine's head-tuple cross product ``domain^k`` and
+the per-binding generator runs of Definition 3.1 both iterate a finite
+index space whose elements are independent.  :func:`plan_shards`
 splits any such space ``[0, total)`` into contiguous, near-equal
-:class:`Shard` ranges that are
+``range`` shards that are
 
 * **disjoint and covering** — every index lands in exactly one shard;
-* **deterministic** — the same ``(total, shards)`` request always
-  yields the same plan, so shard boundaries are stable enough to key
-  caches by (:meth:`Shard.cache_key`);
-* **re-splittable** — a shard that fails (worker crash, timeout) can
-  be split into sub-shards covering exactly the same range, with a
-  bumped ``generation`` recording the retry depth.
+* **deterministic** — the same ``(total, count)`` request always
+  yields the same plan.
 
 Candidate tuples are never materialized during planning: the naive
 engine's ``i``-th candidate is recovered in the worker by mixed-radix
@@ -27,131 +22,40 @@ order exactly.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
 
 from repro.errors import ParallelExecutionError
 
-#: Shards created per worker by the default plan, so stragglers can be
-#: balanced across the pool instead of serializing behind one slot.
+#: Shards planned per worker, so stragglers can be balanced across the
+#: pool instead of serializing behind one slot.
 OVERSHARD_FACTOR = 4
 
 
-@dataclass(frozen=True)
-class Shard:
-    """One contiguous slice ``[start, stop)`` of a candidate space.
+def plan_shards(total: int, count: int) -> tuple[range, ...]:
+    """``min(count, total)`` contiguous ranges covering ``[0, total)``.
 
-    ``index``/``of`` locate the shard inside the plan that created it;
-    ``generation`` counts how many failure-driven re-splits produced
-    it (0 for shards straight from the planner).
+    Sizes differ by at most one, larger shards first; an empty space
+    has an empty plan.
+
+    Args:
+        total: The candidate-space size.
+        count: The requested shard count (at least 1).
+
+    Raises:
+        ParallelExecutionError: If ``total`` is negative.
     """
-
-    start: int
-    stop: int
-    index: int
-    of: int
-    generation: int = 0
-
-    def __post_init__(self) -> None:
-        if self.start < 0 or self.stop < self.start:
-            raise ParallelExecutionError(
-                f"malformed shard range [{self.start}, {self.stop})"
-            )
-
-    @property
-    def size(self) -> int:
-        """The number of indices the shard covers."""
-        return self.stop - self.start
-
-    def cache_key(self) -> tuple:
-        """A structural key for per-shard artifacts.
-
-        Deliberately independent of ``generation``: a re-split child
-        covering the same range as an earlier attempt hits the same
-        cache entries.
-        """
-        return ("shard", self.start, self.stop)
-
-    def split(self, parts: int = 2) -> tuple["Shard", ...]:
-        """Sub-shards covering exactly ``[start, stop)``.
-
-        The children carry ``generation + 1``; a size-1 (or empty)
-        shard cannot be split further and is returned as a single
-        bumped-generation retry of itself.
-        """
-        parts = max(1, min(parts, self.size if self.size else 1))
-        if parts == 1:
-            return (replace(self, generation=self.generation + 1),)
-        bounds = _balanced_bounds(self.start, self.stop, parts)
-        return tuple(
-            Shard(lo, hi, i, parts, self.generation + 1)
-            for i, (lo, hi) in enumerate(bounds)
+    if total < 0:
+        raise ParallelExecutionError(
+            f"candidate space size must be non-negative, got {total}"
         )
+    if total == 0:
+        return ()
+    count = max(1, min(count, total))
+    base, extra = divmod(total, count)
 
+    def start(i: int) -> int:
+        return i * base + min(i, extra)
 
-def _balanced_bounds(
-    start: int, stop: int, parts: int
-) -> list[tuple[int, int]]:
-    """``parts`` contiguous ranges covering ``[start, stop)``, sizes
-    differing by at most one, larger shards first."""
-    total = stop - start
-    base, extra = divmod(total, parts)
-    bounds = []
-    cursor = start
-    for i in range(parts):
-        size = base + (1 if i < extra else 0)
-        bounds.append((cursor, cursor + size))
-        cursor += size
-    return bounds
-
-
-class ShardPlanner:
-    """Plans shard ranges for a worker pool.
-
-    ``shards`` fixes the plan width outright; otherwise
-    :meth:`suggested_shards` picks ``workers × OVERSHARD_FACTOR``
-    capped by the space size.  Planning is a pure function of its
-    arguments — two planners given the same request produce identical
-    plans, which is what makes shard cache keys stable across
-    sessions and retries.
-    """
-
-    def __init__(self, shards: int | None = None) -> None:
-        if shards is not None and shards < 1:
-            raise ParallelExecutionError(
-                f"shard count must be positive, got {shards}"
-            )
-        self.shards = shards
-
-    @staticmethod
-    def suggested_shards(total: int, workers: int) -> int:
-        """The default plan width: oversharded per worker, size-capped.
-
-        Args:
-            total: The candidate-space size.
-            workers: The worker-process count.
-
-        Returns:
-            ``workers × OVERSHARD_FACTOR`` clamped to ``[1, total]``
-            (0 for an empty space).
-        """
-        if total <= 0:
-            return 0
-        return max(1, min(total, max(1, workers) * OVERSHARD_FACTOR))
-
-    def plan(self, total: int, workers: int = 1) -> tuple[Shard, ...]:
-        """Shards covering ``[0, total)``; empty plan for an empty space."""
-        if total < 0:
-            raise ParallelExecutionError(
-                f"candidate space size must be non-negative, got {total}"
-            )
-        if total == 0:
-            return ()
-        count = self.shards or self.suggested_shards(total, workers)
-        count = max(1, min(count, total))
-        bounds = _balanced_bounds(0, total, count)
-        return tuple(
-            Shard(lo, hi, i, count) for i, (lo, hi) in enumerate(bounds)
-        )
+    return tuple(range(start(i), start(i + 1)) for i in range(count))
 
 
 def decode_candidate(

@@ -252,23 +252,20 @@ class ArtifactReader:
     def __init__(self, path: "str | os.PathLike[str]") -> None:
         self.path = Path(path)
         try:
-            self._file = open(self.path, "rb")
+            file = open(self.path, "rb")
         except OSError as error:
             raise ArtifactError(f"cannot open artifact: {error}") from None
-        try:
-            size = os.fstat(self._file.fileno()).st_size
+        # The map keeps its own duplicate of the descriptor, so the
+        # file closes as soon as it is mapped.
+        with file:
+            size = os.fstat(file.fileno()).st_size
             if size < _HEADER.size:
                 raise ArtifactError(
                     f"{self.path} is too small to be an artifact "
                     f"({size} bytes)"
                 )
-            self._map = mmap.mmap(
-                self._file.fileno(), 0, access=mmap.ACCESS_READ
-            )
-            self._parse(size)
-        except ArtifactError:
-            self._file.close()
-            raise
+            self._map = mmap.mmap(file.fileno(), 0, access=mmap.ACCESS_READ)
+        self._parse(size)
 
     def _parse(self, size: int) -> None:
         (
@@ -390,15 +387,12 @@ class ArtifactReader:
         )
 
     def close(self) -> None:
-        """Release the payload view, the map and the file (idempotent)."""
-        try:
-            payload = getattr(self, "_payload", None)
-            if payload is not None:
-                payload.release()  # the map cannot close while exported
-                self._payload = None
-            self._map.close()
-        finally:
-            self._file.close()
+        """Release the payload view and the map (idempotent)."""
+        payload = getattr(self, "_payload", None)
+        if payload is not None:
+            payload.release()  # the map cannot close while exported
+            self._payload = None
+        self._map.close()
 
     def __repr__(self) -> str:
         return (

@@ -10,7 +10,7 @@ _DETERMINIZE = importlib.import_module("repro.fsa.determinize")
 _KERNEL = importlib.import_module("repro.fsa.kernel")
 _STRATEGIES = importlib.import_module("repro.engine.strategies")
 _EXECUTOR = importlib.import_module("repro.parallel.executor")
-_SHARDING = importlib.import_module("repro.parallel.sharding")
+_SESSION = importlib.import_module("repro.engine.session")
 
 
 @pytest.fixture
@@ -37,28 +37,21 @@ def forced_v1(monkeypatch):
 def pooled(monkeypatch):
     """Send all ``auto`` work at ``workers > 1`` to the pool.
 
-    Lowers ``AUTO_PARALLEL_THRESHOLD`` to 0 and every executor's
-    ``min_parallel_items`` to 1, so tiny test workloads cross real
-    process boundaries: each plan branch shards its generator runs and
-    each naive candidate space is sharded.  Returns a dict whose
-    entries (``chaos``, ``timeout``, ``max_retries``) are passed to
-    every executor built while the fixture is active; a ``shards``
-    entry fixes the shard count (``planner=ShardPlanner(shards)``),
-    which the program itself always derives from the worker count.
-    At one worker ``auto`` builds no executor at all.
+    Lowers ``AUTO_PARALLEL_THRESHOLD`` to 0 and the session's pooling
+    floor ``MIN_POOLED_MISSES`` to 1, so tiny test workloads cross
+    real process boundaries: each plan branch ships its generator runs
+    and each naive candidate space is sharded.  Returns a dict whose
+    ``shards`` entry, when set, replaces the shard count of every plan
+    the executor makes (the program always derives it from the worker
+    count).  At one worker ``auto`` builds no executor at all.
     """
     settings = {}
-    build = _EXECUTOR.ParallelExecutor
+    plan = _EXECUTOR.plan_shards
 
-    def executor(workers=None, **kwargs):
-        kwargs["min_parallel_items"] = 1
-        options = dict(settings)
-        shards = options.pop("shards", None)
-        if shards is not None:
-            kwargs["planner"] = _SHARDING.ShardPlanner(shards)
-        kwargs.update(options)
-        return build(workers, **kwargs)
+    def fixed_plan(total, count):
+        return plan(total, settings.get("shards") or count)
 
     monkeypatch.setattr(_STRATEGIES, "AUTO_PARALLEL_THRESHOLD", 0)
-    monkeypatch.setattr(_EXECUTOR, "ParallelExecutor", executor)
+    monkeypatch.setattr(_SESSION, "MIN_POOLED_MISSES", 1)
+    monkeypatch.setattr(_EXECUTOR, "plan_shards", fixed_plan)
     return settings

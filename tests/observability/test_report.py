@@ -109,7 +109,7 @@ class TestRenderings:
                 pass
             with tracer.span("execute.shard", stage="execute"):
                 pass
-        tracer.add("executor.retries", 1)
+        tracer.add("executor.restarts", 1)
         tracer.gauge("naive.candidate_space", 64)
         return TraceReport.build(tracer)
 
@@ -117,7 +117,7 @@ class TestRenderings:
         text = self._report().describe()
         for stage in STAGES:
             assert stage in text
-        assert "counter executor.retries = 1" in text
+        assert "counter executor.restarts = 1" in text
         assert "gauge   naive.candidate_space = 64" in text
 
     def test_tree_indents_children_under_parents(self):

@@ -1,10 +1,13 @@
 """Unit and integration tests for the parallel executor layer.
 
 Covers the pieces the differential harness exercises only indirectly:
-the sequential-fallback policy, the execution report and its session
-accounting, worker-cache write-back, batch evaluation, and the auto
-engine's size heuristic.
+the pooling floor, the worker count, the execution report and its
+session accounting, worker-cache write-back, batch evaluation, and the
+auto engine's size heuristic.  The failure policy is tested in
+``tests/test_failure_injection.py``.
 """
+
+import os
 
 import pytest
 
@@ -18,8 +21,8 @@ from repro.observability import NULL_TRACER, TraceReport
 from repro.parallel import (
     NaiveShardTask,
     ParallelExecutor,
-    ShardPlanner,
     default_worker_count,
+    plan_shards,
     shutdown_pools,
 )
 from repro.workloads.generators import example_database
@@ -68,33 +71,53 @@ class TestExecutorPolicy:
         assert executor.run([]) == []
         assert executor.report.shards_planned == 0
         assert executor.report.shards_completed == 0
+        assert not executor.report.pooled
 
     def test_single_worker_runs_sequentially(self, db):
-        executor = ParallelExecutor(
-            workers=1, planner=ShardPlanner(4), min_parallel_items=1
+        """One worker process runs the tasks one after another and
+        returns what running them in-process returns."""
+        executor = ParallelExecutor(workers=1)
+        tasks = _naive_tasks(executor, db)
+        got = executor.run(tasks)
+        assert sorted(map(sorted, got)) == sorted(
+            sorted(task.run()) for task in tasks
         )
-        executor.run(_naive_tasks(executor, db))
-        assert executor.report.mode == "sequential"
         assert executor.report.workers == 1
+        assert executor.report.pooled
+        assert executor.report.shards_completed == len(tasks) == 4
 
-    def test_tiny_input_falls_back_to_sequential(self, db):
-        """Below min_parallel_items the pool is never touched, even
-        with many workers configured."""
-        executor = ParallelExecutor(
-            workers=4, planner=ShardPlanner(4), min_parallel_items=10_000
+    def test_tiny_input_falls_back_to_sequential(self, db, monkeypatch):
+        """Fewer generate misses than the pooling floor are computed
+        in-process even when ``auto`` built an executor."""
+        monkeypatch.setattr(strategies, "AUTO_PARALLEL_THRESHOLD", 0)
+        session = QueryEngine()
+        bound = db.max_string_length() + 1
+        got = session.evaluate(_concat_query(), db, length=bound, workers=4)
+        totals = session.stats.snapshot()["parallel"]
+        assert totals["runs"] == 1
+        assert totals["pooled_runs"] == 0
+        assert totals["shards_planned"] == 0
+        want = QueryEngine().evaluate(
+            _concat_query(), db, length=bound, workers=1
         )
-        executor.run(_naive_tasks(executor, db))
-        assert executor.report.mode == "sequential"
-        assert executor.report.shards_completed == (
-            executor.report.shards_planned
-        )
+        assert got == want
 
-    def test_plan_respects_explicit_shard_count(self):
-        executor = ParallelExecutor(workers=2, planner=ShardPlanner(5))
-        assert len(executor.plan(100)) == 5
+    def test_plan_respects_explicit_shard_count(self, pooled):
+        """The ``pooled`` fixture's shard count reaches every plan."""
+        pooled["shards"] = 5
+        assert len(ParallelExecutor(workers=2).plan(100)) == 5
 
     def test_default_worker_count_is_positive(self):
         assert default_worker_count() >= 1
+
+    def test_default_worker_count_follows_cpu_affinity(self, monkeypatch):
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: {0}, raising=False
+        )
+        assert default_worker_count() == 1
+        assert ParallelExecutor().workers == 1
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert default_worker_count() == (os.cpu_count() or 1)
 
     def test_shutdown_pools_is_idempotent(self):
         shutdown_pools()
@@ -103,23 +126,21 @@ class TestExecutorPolicy:
 
 class TestExecutionReport:
     def test_report_counts_and_describe(self, db):
-        executor = ParallelExecutor(
-            workers=2, planner=ShardPlanner(3), min_parallel_items=1
-        )
+        executor = ParallelExecutor(workers=2)
         executor.run(_naive_tasks(executor, db))
         report = executor.report
-        assert report.mode == "parallel"
+        assert report.pooled
         assert report.workers == 2
-        assert report.shards_planned == 3
-        assert report.shards_completed == 3
-        assert report.retries == 0
+        assert report.shards_planned == 8
+        assert report.shards_completed == 8
+        assert report.restarts == 0
         assert report.wall_seconds > 0.0
         stats = EngineStats()
         stats.record_parallel(report)
         text = TraceReport.build(NULL_TRACER, stats).summary()
-        assert "parallel runs=1 shards=3/3" in text
+        assert "parallel runs=1 pooled=1 shards=8/8 restarts=0" in text
         snapshot = report.snapshot()
-        assert snapshot["shards_completed"] == 3
+        assert snapshot["shards_completed"] == 8
 
     def test_session_stats_accumulate_reports(self, db, pooled):
         pooled["shards"] = 3
@@ -213,18 +234,17 @@ class TestAutoHeuristic:
 
 class TestTaskNarrowing:
     def test_narrowed_naive_task_covers_child_range(self, db):
-        """Re-split tasks must slice the original candidate range, not
-        restart it — the crash-retry correctness hinge."""
-        session = QueryEngine()
-        domain = session.domain_for(AB, 2)
+        """Tasks over the child ranges of a plan check exactly their
+        own candidates: together they return the whole range's answer."""
+        domain = QueryEngine().domain_for(AB, 2)
         query = _prefix_query()
-        planner = ShardPlanner(shards=1)
-        (shard,) = planner.plan(len(domain) ** 2, workers=1)
-        task = NaiveShardTask(
-            shard, query.formula, query.head, db, domain
-        )
-        whole = task.run()
+        total = len(domain) ** 2
+
+        def task(shard):
+            return NaiveShardTask(shard, query.formula, query.head, db, domain)
+
+        whole = task(range(total)).run()
         merged: set = set()
-        for child in shard.split(3):
-            merged |= set(task.narrowed(child).run())
+        for child in plan_shards(total, 3):
+            merged |= set(task(child).run())
         assert merged == set(whole)

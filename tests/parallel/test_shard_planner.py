@@ -1,21 +1,21 @@
-"""Property tests for the shard planner (hypothesis).
+"""Property tests for the shard plan function (hypothesis).
 
-The planner's invariants are what make parallel answers provably equal
+The plan's invariants are what make parallel answers provably equal
 to sequential ones: shards are disjoint, cover the candidate index
-space exactly, are deterministic for a fixed (total, workers) key, and
-re-splitting after a simulated worker crash preserves coverage.
+space exactly, are balanced, and are deterministic for a fixed
+(total, count) request.
 """
 
 from itertools import product
 
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.parallel import ParallelExecutor
 from repro.parallel.sharding import (
     OVERSHARD_FACTOR,
-    Shard,
-    ShardPlanner,
     decode_candidate,
+    plan_shards,
 )
 
 totals = st.integers(min_value=0, max_value=100_000)
@@ -27,7 +27,7 @@ def _covered(shards):
     """The set of candidate indices covered, asserting disjointness."""
     seen = set()
     for shard in shards:
-        block = set(range(shard.start, shard.stop))
+        block = set(shard)
         assert not (seen & block), f"overlapping shard {shard}"
         seen |= block
     return seen
@@ -35,98 +35,34 @@ def _covered(shards):
 
 @given(total=totals, workers=workers)
 def test_plan_covers_domain_exactly_and_disjointly(total, workers):
-    plan = ShardPlanner().plan(total, workers=workers)
+    plan = ParallelExecutor(workers).plan(total)
     assert _covered(plan) == set(range(total))
 
 
-@given(total=totals, workers=workers)
-def test_plan_is_deterministic(total, workers):
-    first = ShardPlanner().plan(total, workers=workers)
-    second = ShardPlanner().plan(total, workers=workers)
-    assert first == second
+@given(total=totals, count=shard_counts)
+def test_plan_is_deterministic(total, count):
+    assert plan_shards(total, count) == plan_shards(total, count)
 
 
 @given(total=st.integers(min_value=1, max_value=100_000), workers=workers)
 def test_plan_sizes_are_balanced(total, workers):
-    plan = ShardPlanner().plan(total, workers=workers)
-    sizes = [shard.size for shard in plan]
+    plan = ParallelExecutor(workers).plan(total)
+    sizes = [len(shard) for shard in plan]
     assert all(size >= 1 for size in sizes)
     assert max(sizes) - min(sizes) <= 1
-    assert len(plan) <= min(total, workers * OVERSHARD_FACTOR)
+    assert len(plan) == min(total, workers * OVERSHARD_FACTOR)
 
 
 @given(total=st.integers(min_value=1, max_value=100_000), count=shard_counts)
 def test_explicit_shard_count_is_respected(total, count):
-    plan = ShardPlanner(shards=count).plan(total, workers=4)
+    plan = plan_shards(total, count)
     assert len(plan) == min(total, count)
     assert _covered(plan) == set(range(total))
 
 
-@given(
-    total=st.integers(min_value=1, max_value=10_000),
-    workers=workers,
-    data=st.data(),
-)
-def test_resplit_preserves_coverage(total, workers, data):
-    """Simulate a crash: replace one shard by its split children; the
-    union of ranges must still cover [0, total) exactly."""
-    plan = list(ShardPlanner().plan(total, workers=workers))
-    index = data.draw(st.integers(min_value=0, max_value=len(plan) - 1))
-    parts = data.draw(st.integers(min_value=2, max_value=5))
-    victim = plan.pop(index)
-    children = victim.split(parts)
-    assert _covered(children) == set(range(victim.start, victim.stop))
-    for child in children:
-        assert child.generation == victim.generation + 1
-    assert _covered(plan + list(children)) == set(range(total))
-
-
-@given(
-    total=st.integers(min_value=1, max_value=10_000),
-    workers=workers,
-    rounds=st.integers(min_value=1, max_value=4),
-)
-@settings(deadline=None)
-def test_repeated_resplit_of_every_shard_preserves_coverage(
-    total, workers, rounds
-):
-    """The retry loop may re-split every shard several times over; the
-    frontier must always remain an exact partition."""
-    frontier = list(ShardPlanner().plan(total, workers=workers))
-    for _ in range(rounds):
-        frontier = [child for shard in frontier for child in shard.split()]
-    assert _covered(frontier) == set(range(total))
-
-
-@given(total=totals, workers=workers)
-def test_cache_key_ignores_generation(total, workers):
-    for shard in ShardPlanner().plan(total, workers=workers):
-        bumped = Shard(
-            start=shard.start,
-            stop=shard.stop,
-            index=shard.index,
-            of=shard.of,
-            generation=shard.generation + 3,
-        )
-        assert shard.cache_key() == bumped.cache_key()
-
-
-@given(total=st.integers(min_value=2, max_value=10_000), workers=workers)
-def test_cache_keys_distinct_across_shards(total, workers):
-    plan = ShardPlanner().plan(total, workers=workers)
-    keys = {shard.cache_key() for shard in plan}
-    assert len(keys) == len(plan)
-
-
-def test_split_of_singleton_shard_bumps_generation_only():
-    shard = Shard(start=5, stop=6, index=0, of=1, generation=0)
-    (child,) = shard.split(4)
-    assert (child.start, child.stop) == (5, 6)
-    assert child.generation == 1
-
-
 def test_plan_of_empty_domain_is_empty():
-    assert ShardPlanner().plan(0, workers=8) == ()
+    assert plan_shards(0, 8) == ()
+    assert ParallelExecutor(8).plan(0) == ()
 
 
 @given(

@@ -201,6 +201,44 @@ class TestProtocolAbuse:
             client.query("!R2(x)", ["x"])
         assert_alive(client)
 
+    def test_unbounded_generation_error_is_named_at_two_workers(self):
+        # At length 30 both formulas generate tapes unconstrained
+        # beyond 'a'; the second ships its 32 bindings to the pool.
+        from itertools import product
+
+        from repro.core.alphabet import AB
+        from repro.core.database import Database
+
+        rows = [("".join(p),) for p in product("ab", repeat=5)]
+        handle = serve_in_thread(Database(AB, {"R2": rows}))
+        try:
+            for formula in (
+                "[x]l(x = 'a')",
+                "exists y: R2(y) & [x,y]l(x = y)",
+            ):
+                messages = set()
+                for workers in (1, 2):
+                    frame = {
+                        "id": workers,
+                        "op": "query",
+                        "params": {
+                            "formula": formula,
+                            "head": ["x"],
+                            "length": 30,
+                            "workers": workers,
+                        },
+                    }
+                    (response,) = raw_exchange(
+                        handle.address,
+                        json.dumps(frame).encode("utf-8") + b"\n",
+                    )
+                    assert response["error"]["code"] == ERR_EVALUATION
+                    messages.add(response["error"]["message"])
+                (message,) = messages
+                assert message.startswith("UnboundedQueryError: "), formula
+        finally:
+            handle.stop()
+
 
 class TestFrameLimits:
     @pytest.fixture()

@@ -6,6 +6,9 @@ silent wrong answers or anonymous ``KeyError``/``ValueError`` leaks.
 This module drives malformed inputs through each public surface.
 """
 
+import os
+from dataclasses import dataclass
+
 import pytest
 
 from repro.core.alphabet import AB, DNA, LEFT_END, Alphabet
@@ -24,6 +27,7 @@ from repro.errors import (
     TransitionError,
     UnboundedQueryError,
 )
+from repro.parallel import NaiveShardTask
 
 
 class TestErrorHierarchy:
@@ -151,26 +155,77 @@ class TestStructuralValidation:
         assert session.stats.rejects == {"unsupported-literal": 2}
 
 
-class TestParallelFaultInjection:
-    """Chaos-injected shard failures: the executor must retry with
-    re-split shards and still produce the exact sequential answer, or
-    surface a typed :class:`ParallelExecutionError` when the retry
-    budget is exhausted — never a wrong answer or a raw traceback.
+def _r2_of_five_letter_strings():
+    """``R2`` holding the 32 five-letter strings over ``ab``."""
+    from itertools import product
 
-    The query is evaluated with an explicit ``domain`` so the naive
-    candidate space is sharded (plan-shaped evaluation would bind
-    every variable relationally and leave nothing to inject into).
-    The ``pooled`` fixture hands the chaos policy and retry settings
-    to the executor ``auto`` builds.  Chaos policies key on shard
-    generation: re-split children carry ``generation + 1`` and execute
-    cleanly, which is exactly the transient-fault shape the retry loop
-    is built for.
+    return Database(
+        AB, {"R2": [("".join(p),) for p in product("ab", repeat=5)]}
+    )
+
+
+#: Generate queries whose accepted tapes are unconstrained beyond a
+#: prefix, the database each runs over, and whether it reaches the
+#: pool at two workers: the first has one generator binding (below the
+#: pooling floor), the second 32.
+UNBOUNDED_AT_LENGTH_30 = (
+    ("[x]l(x = 'a')", lambda: Database(AB, {}), False),
+    ("exists y: R2(y) & [x,y]l(x = y)", _r2_of_five_letter_strings, True),
+)
+
+
+@dataclass(frozen=True)
+class CrashingTask(NaiveShardTask):
+    """Kills its worker on each of its first ``crashes`` runs.
+
+    Workers share no memory with the test, so each run claims the next
+    free marker file in the directory ``markers``; once all ``crashes``
+    markers exist, the task answers like the :class:`NaiveShardTask`
+    it is.
+    """
+
+    markers: str = ""
+    crashes: int = 1
+
+    def run(self):
+        for attempt in range(self.crashes):
+            marker = os.path.join(self.markers, f"crash{attempt}")
+            try:
+                os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+            except FileExistsError:
+                continue
+            os._exit(13)  # a hard worker death, not an exception
+        return super().run()
+
+
+@dataclass(frozen=True)
+class FailingTask(NaiveShardTask):
+    """Appends one line to ``log`` per run, then raises a typed error."""
+
+    log: str = ""
+
+    def run(self):
+        with open(self.log, "a", encoding="utf-8") as handle:
+            handle.write(f"{os.getpid()}\n")
+        raise UnboundedQueryError(f"shard {self.shard} cannot be bounded")
+
+
+class TestParallelFaultInjection:
+    """The pool's one failure policy: a task's exception reaches the
+    caller unchanged and the task runs once; a dead worker is recovered
+    by rebuilding the pool, up to a fixed budget, after which a typed
+    :class:`WorkerCrashError` is raised — never a wrong answer.
+
+    The fault-injecting tasks are the test-owned subclasses above,
+    shipped to a :class:`ParallelExecutor` next to ordinary shards of
+    the prefix query's candidate space.
     """
 
     @staticmethod
     def _setup():
         from repro.core import shorthands as sh
         from repro.engine import QueryEngine
+        from repro.parallel import ParallelExecutor
         from repro.workloads.generators import example_database
 
         db = example_database(AB, seed=3, size=4, max_length=3)
@@ -181,125 +236,134 @@ class TestParallelFaultInjection:
         )
         session = QueryEngine()
         domain = session.domain_for(AB, 3)
-        reference = session.evaluate(query, db, domain=domain, engine="naive")
-        return session, query, db, domain, reference
-
-    @staticmethod
-    def _report(session):
-        return session.stats.snapshot()["parallel"]
-
-    def test_failing_shards_are_retried_to_the_correct_answer(self, pooled):
-        from repro.parallel import ChaosPolicy
-
-        session, query, db, domain, reference = self._setup()
-        pooled.update(shards=3, chaos=ChaosPolicy(fail_generations=(0,)))
-        answers = session.evaluate(query, db, domain=domain, workers=2)
-        assert answers == reference
-        report = self._report(session)
-        assert report["retries"] == 3 and report["resplits"] == 3
-        assert report["failures"] >= 3
-        # Every failed shard was re-split in two, so more shards
-        # completed than were originally planned.
-        assert report["shards_completed"] > report["shards_planned"]
-
-    def test_hanging_shard_times_out_and_recovers(self, pooled):
-        from repro.parallel import ChaosPolicy
-
-        session, query, db, domain, reference = self._setup()
-        pooled.update(
-            shards=2,
-            timeout=0.2,
-            chaos=ChaosPolicy(
-                hang_generations=(0,), only_indices=(0,), hang_seconds=5.0
-            ),
-        )
-        answers = session.evaluate(query, db, domain=domain, workers=2)
-        assert answers == reference
-        report = self._report(session)
-        assert report["timeouts"] >= 1
-        assert report["resplits"] >= 1
-
-    def test_worker_crash_breaks_pool_but_not_the_answer(self, pooled):
-        from repro.parallel import ChaosPolicy
-
-        session, query, db, domain, reference = self._setup()
-        pooled.update(
-            shards=3,
-            chaos=ChaosPolicy(crash_generations=(0,), only_indices=(0,)),
-        )
-        answers = session.evaluate(query, db, domain=domain, workers=2)
-        assert answers == reference
-        assert self._report(session)["resplits"] >= 1
-
-    def test_exhausted_retries_raise_typed_error(self, pooled):
-        from repro.errors import ParallelExecutionError
-        from repro.parallel import ChaosPolicy
-
-        session, query, db, domain, _ = self._setup()
-        pooled.update(
-            shards=2,
-            max_retries=1,
-            chaos=ChaosPolicy(fail_generations=(0, 1, 2, 3)),
-        )
-        with pytest.raises(ParallelExecutionError):
-            session.evaluate(query, db, domain=domain, workers=2)
-
-    def test_exhausted_timeouts_raise_shard_timeout_error(self, pooled):
-        from repro.errors import ParallelExecutionError, ShardTimeoutError
-        from repro.parallel import ChaosPolicy
-
-        session, query, db, domain, _ = self._setup()
-        pooled.update(
-            shards=1,
-            timeout=0.15,
-            max_retries=0,
-            chaos=ChaosPolicy(hang_generations=(0,), hang_seconds=5.0),
-        )
-        with pytest.raises(ShardTimeoutError):
-            session.evaluate(query, db, domain=domain, workers=2)
-        assert issubclass(ShardTimeoutError, ParallelExecutionError)
-
-    def test_sequential_chaos_stays_in_process(self):
-        """With one worker the chaos hooks degrade gracefully: a crash
-        injection must not take down the test process, and the typed
-        error still surfaces."""
-        from repro.errors import ParallelExecutionError
-        from repro.parallel import (
-            ChaosPolicy,
-            NaiveShardTask,
-            ParallelExecutor,
-            ShardPlanner,
-        )
-
-        _, query, db, domain, _ = self._setup()
-        executor = ParallelExecutor(
-            workers=1,
-            planner=ShardPlanner(2),
-            min_parallel_items=1,
-            max_retries=0,
-            chaos=ChaosPolicy(crash_generations=(0,)),
-        )
+        reference = session.evaluate(query, db, domain=domain, workers=1)
+        executor = ParallelExecutor(workers=2)
         tasks = [
             NaiveShardTask(shard, query.formula, query.head, db, domain)
             for shard in executor.plan(len(domain) ** len(query.head))
         ]
-        with pytest.raises(ParallelExecutionError):
+        return executor, tasks, reference
+
+    @staticmethod
+    def _as(kind, task, **extra):
+        """``task`` rebuilt as the fault-injecting subclass ``kind``."""
+        return kind(**vars(task), **extra)
+
+    def test_task_error_passes_through_unchanged_and_runs_once(
+        self, tmp_path
+    ):
+        executor, tasks, _ = self._setup()
+        log = tmp_path / "runs.log"
+        tasks[0] = self._as(FailingTask, tasks[0], log=str(log))
+        with pytest.raises(UnboundedQueryError) as caught:
             executor.run(tasks)
-        assert executor.report.mode == "sequential"
+        assert str(caught.value) == (
+            f"shard {tasks[0].shard} cannot be bounded"
+        )
+        assert len(log.read_text(encoding="utf-8").splitlines()) == 1
+        assert executor.report.restarts == 0
+
+    def test_unbounded_generation_error_is_the_same_at_every_worker_count(
+        self, monkeypatch
+    ):
+        from repro.core.parser import parse_formula
+        from repro.engine import QueryEngine
+        from repro.fsa import generate
+
+        runs = []
+        generator = generate.accepted_tuples
+
+        def counted(*args, **kwargs):
+            runs.append(args)
+            return generator(*args, **kwargs)
+
+        monkeypatch.setattr(generate, "accepted_tuples", counted)
+        for text, make_db, pooled in UNBOUNDED_AT_LENGTH_30:
+            query = Query(("x",), parse_formula(text), AB)
+            messages = {}
+            for workers in (1, 2):
+                session = QueryEngine()
+                runs.clear()
+                with pytest.raises(UnboundedQueryError) as caught:
+                    session.evaluate(
+                        query, make_db(), length=30, workers=workers
+                    )
+                messages[workers] = str(caught.value)
+            assert messages[2] == messages[1], text
+            assert "is unconstrained beyond" in messages[1]
+            # The last session ran at two workers: an in-process run
+            # below the pooling floor happens once, a pooled one in a
+            # worker, and no worker died.
+            totals = session.stats.snapshot()["parallel"]
+            assert totals["pooled_runs"] == int(pooled), text
+            assert totals["restarts"] == 0
+            assert len(runs) == (0 if pooled else 1), text
+
+    def test_worker_crash_breaks_pool_but_not_the_answer(self, tmp_path):
+        executor, tasks, reference = self._setup()
+        tasks[0] = self._as(CrashingTask, tasks[0], markers=str(tmp_path))
+        assert frozenset().union(*executor.run(tasks)) == reference
+        assert executor.report.restarts == 1
+        assert executor.report.shards_completed == len(tasks)
+
+    def test_exhausted_retries_raise_typed_error(self, tmp_path):
+        from repro.errors import ParallelExecutionError, WorkerCrashError
+        from repro.parallel.executor import MAX_POOL_RESTARTS
+
+        executor, tasks, _ = self._setup()
+        tasks[0] = self._as(
+            CrashingTask,
+            tasks[0],
+            markers=str(tmp_path),
+            crashes=MAX_POOL_RESTARTS + 2,
+        )
+        with pytest.raises(WorkerCrashError):
+            executor.run(tasks)
+        assert issubclass(WorkerCrashError, ParallelExecutionError)
+        assert executor.report.restarts == MAX_POOL_RESTARTS
+        # One crash per pool: the first and every rebuilt one.
+        assert len(list(tmp_path.iterdir())) == MAX_POOL_RESTARTS + 1
 
     def test_parallel_error_hierarchy(self):
-        from repro.errors import (
-            ParallelExecutionError,
-            ShardTimeoutError,
-            WorkerCrashError,
-        )
+        from repro.errors import ParallelExecutionError, WorkerCrashError
 
         assert issubclass(ParallelExecutionError, EvaluationError)
-        assert issubclass(ShardTimeoutError, ParallelExecutionError)
         assert issubclass(WorkerCrashError, ParallelExecutionError)
 
 
 class TestCLIFailures:
+    def test_unbounded_generation_reports_the_same_error_at_every_worker_count(
+        self, tmp_path, capsys
+    ):
+        import json
+
+        from repro.cli import main
+
+        for text, make_db, _ in UNBOUNDED_AT_LENGTH_30:
+            path = tmp_path / "db.json"
+            path.write_text(json.dumps(make_db().to_json()))
+            errors = {}
+            for workers in ("1", "2"):
+                code = main(
+                    [
+                        "query",
+                        "--alphabet",
+                        "ab",
+                        "--db",
+                        str(path),
+                        "--head=x",
+                        "--length",
+                        "30",
+                        "--workers",
+                        workers,
+                        text,
+                    ]
+                )
+                assert code == 2
+                errors[workers] = capsys.readouterr().err
+            assert errors["2"] == errors["1"], text
+            assert "is unconstrained beyond" in errors["1"]
+
     def test_unknown_relation_is_empty_not_crash(self, tmp_path):
         import json
 
