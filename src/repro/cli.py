@@ -41,7 +41,7 @@ tree, and ``--metrics-out PATH`` writes the schema-stable JSON
 normalized :mod:`repro.ir` plan — cost estimates, fired rewrite rules
 and the optimized algebra expression — instead of evaluating.
 ``--storage ngram`` (optionally with ``--index-dir``) loads relations
-into the positional n-gram index backend (:mod:`repro.storage`) the
+into the n-gram index backend (:mod:`repro.storage`) the
 plan's join steps probe for pushed-down selection factors; ``--storage slp``
 holds every cell as a straight-line program (:mod:`repro.slp`).
 All human-readable instrumentation goes to stderr so stdout stays a
@@ -337,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=STORAGE_KINDS,
         default="memory",
         help="relation storage backend (default: memory — plain "
-        "frozensets; ngram builds positional n-gram indexes the "
+        "frozensets; ngram builds n-gram indexes the "
         "plan's join steps probe for pushed-down selection factors; slp "
         "compresses cells into straight-line programs with "
         "grammar-extracted prefilters). Answers are identical for "

@@ -7,7 +7,7 @@ column of every tuple holds a finite string over the fixed alphabet.
 How each finite set is physically held is delegated to the
 :mod:`repro.storage` protocol: the constructor validates raw tuple
 iterables and hands them to a *storage factory* (in-memory frozensets
-by default, positional n-gram indexes via ``storage="ngram"`` or
+by default, n-gram indexes via ``storage="ngram"`` or
 :func:`repro.storage.storage_factory`), while already-constructed
 storages are adopted as-is — which is what makes functional updates
 O(changed relation).  :meth:`relation` returns a

@@ -251,6 +251,10 @@ class QueryEngine:
                 pending.append(key)
             else:
                 answers[key] = found
+        # Misses run in key order, not binding order (which follows
+        # string hashing), so a failing run raises the same error in
+        # every process.
+        pending.sort()
         tracer = current_tracer()
         hits = len(answers) - len(pending)
         if hits:

@@ -33,7 +33,7 @@ normalized :class:`~repro.ir.plan.QueryPlan`\\ s:
 transition graph, substrings every accepted value of one tape must
 contain (its **mandatory factors**), and
 :func:`attach_index_prefilters` pushes those factors down onto the
-plan's join steps, where storage backends with positional n-gram
+plan's join steps, where storage backends with n-gram
 indexes (:mod:`repro.storage.ngram`) use them to shrink the scanned
 row set before exact kernel acceptance.
 """

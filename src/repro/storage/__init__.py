@@ -6,10 +6,11 @@ tuples — paper, Section 2) from *how* the tuples are held:
 
 * :class:`~repro.storage.base.InMemoryStorage` — the historical
   frozenset representation; the reference backend.
-* :class:`~repro.storage.ngram.NGramIndexStorage` — positional n-gram
-  inverted indexes per column, optionally serialized to an immutable
-  memory-mapped artifact (:mod:`repro.storage.artifact`) that builds
-  once and is shared read-only across sessions and worker processes.
+* :class:`~repro.storage.ngram.NGramIndexStorage` — n-gram inverted
+  indexes (each gram's sorted row ids) per column, optionally
+  serialized to an immutable memory-mapped artifact
+  (:mod:`repro.storage.artifact`) that builds once and is shared
+  read-only across sessions and worker processes.
 * :class:`~repro.storage.slp.SLPStorage` — cells held as straight-line
   programs (:mod:`repro.slp`): membership and deltas are structural,
   statistics and n-gram prefilter probes read off the grammars, and

@@ -1,11 +1,15 @@
 """The on-disk n-gram index artifact: struct-packed, mmap'd, versioned.
 
 An artifact is a single immutable file holding one relation plus its
-positional n-gram indexes.  It is written once (`pack` + `write_artifact`)
-and then memory-mapped read-only by any number of sessions or worker
+n-gram indexes.  It is written once (`pack` + `write_artifact`) and
+then memory-mapped read-only by any number of sessions or worker
 processes (`ArtifactReader`) — the OS page cache makes concurrent opens
 effectively free, which is how parallel workers share one index without
 pickling tuple sets.
+
+The posting format is the one :func:`build_postings` produces for every
+n-gram index, in memory or on disk: per column, each gram's sorted ids
+of the rows whose value holds it, one entry per (row, distinct gram).
 
 Layout (all integers little-endian)::
 
@@ -21,12 +25,13 @@ Layout (all integers little-endian)::
 * **gram directories** — per column: ``<I>`` gram count, then per gram
   (sorted): ``<H>`` byte length, the UTF-8 gram, ``<I>`` posting
   count, ``<Q>`` payload-relative posting offset.
-* **postings** — ``<I H>`` (row id, character position) pairs, sorted
-  by row id then position.
+* **postings** — per gram, its ``<I>`` row ids in ascending order.
 
 ``payload_sha1`` detects corruption at open time; ``content_sha1``
 fingerprints the (rows, n) content so ``NGramIndexStorage.ensure`` can
 tell whether an existing artifact is still current without rebuilding.
+Version 2 is the row-id posting format; a version-1 file is refused at
+open, so ``ensure`` rebuilds it.
 """
 
 from __future__ import annotations
@@ -35,6 +40,11 @@ import hashlib
 import mmap
 import os
 import struct
+import sys
+from array import array
+from collections import defaultdict
+from collections.abc import Sequence
+from functools import partial
 from pathlib import Path
 
 from repro.errors import ArtifactError
@@ -44,7 +54,7 @@ from repro.storage.base import ColumnStats, RelationStats
 MAGIC = b"RPRNGIDX"
 
 #: The current artifact format version; bump on any layout change.
-VERSION = 1
+VERSION = 2
 
 _HEADER = struct.Struct("<8sHHHHIQ20s20s")
 _STATS_HEAD = struct.Struct("<IQIII")
@@ -53,10 +63,13 @@ _CELL_SPAN = struct.Struct("<II")
 _DIR_COUNT = struct.Struct("<I")
 _GRAM_HEAD = struct.Struct("<H")
 _GRAM_TAIL = struct.Struct("<IQ")
-_POSTING = struct.Struct("<IH")
+#: The ``array`` type code of a row id: 4-byte unsigned.
+_ROW_ID = "I"
+_ROW_ID_SIZE = 4
+_SWAP = sys.byteorder != "little"
 
-#: Longest representable cell (positions are uint16 in postings).
-MAX_CELL_LENGTH = 0xFFFF
+#: The postings of a gram no row holds (shared, so never mutated).
+NO_ROWS = array(_ROW_ID)
 
 
 def content_fingerprint(rows: tuple[tuple[str, ...], ...], n: int) -> bytes:
@@ -78,16 +91,39 @@ def content_fingerprint(rows: tuple[tuple[str, ...], ...], n: int) -> bytes:
     return digest.digest()
 
 
-def _column_postings(
-    rows: tuple[tuple[str, ...], ...], column: int, n: int
-) -> dict[str, list[tuple[int, int]]]:
-    postings: dict[str, list[tuple[int, int]]] = {}
-    for row_id, row in enumerate(rows):
-        value = row[column]
-        for position in range(len(value) - n + 1):
-            gram = value[position : position + n]
-            postings.setdefault(gram, []).append((row_id, position))
-    return postings
+def build_postings(
+    rows: Sequence[tuple[str, ...]], n: int, arity: int, first: int = 0
+) -> list[dict[str, array]]:
+    """The posting format: per column, each gram's sorted row ids.
+
+    Row ``rows[i]`` has id ``first + i`` and is listed once under each
+    distinct ``n``-gram of its value, so every array ascends.  This is
+    the only builder of postings: in-memory indexes, artifacts, stale
+    fallbacks and the rows a delta appends all use it.
+
+    Args:
+        rows: The tuples, in row-id order.
+        n: The gram size.
+        arity: The column count.
+        first: The id of ``rows[0]``.
+
+    Returns:
+        One ``{gram: array('I')}`` map per column.
+    """
+    columns = []
+    for column in range(arity):
+        postings: defaultdict[str, array] = defaultdict(
+            partial(array, _ROW_ID)
+        )
+        for row_id, row in enumerate(rows, first):
+            value = row[column]
+            for gram in {
+                value[start : start + n]
+                for start in range(len(value) - n + 1)
+            }:
+                postings[gram].append(row_id)
+        columns.append(dict(postings))
+    return columns
 
 
 def pack(
@@ -104,9 +140,6 @@ def pack(
 
     Returns:
         The complete artifact file content.
-
-    Raises:
-        ArtifactError: If a cell is longer than :data:`MAX_CELL_LENGTH`.
     """
     arity = stats.arity
     # -- stats section
@@ -129,11 +162,6 @@ def pack(
     offsets = [0]
     for row in rows:
         for cell in row:
-            if len(cell) > MAX_CELL_LENGTH:
-                raise ArtifactError(
-                    f"cell of length {len(cell)} exceeds the artifact "
-                    f"limit of {MAX_CELL_LENGTH}"
-                )
             data = cell.encode("utf-8")
             encoded.append(data)
             offsets.append(offsets[-1] + len(data))
@@ -141,8 +169,8 @@ def pack(
     blob = b"".join(encoded)
     # -- gram directories + postings (two-pass: sizes before offsets)
     per_column = [
-        sorted(_column_postings(rows, column, n).items())
-        for column in range(arity)
+        sorted(postings.items())
+        for postings in build_postings(rows, n, arity)
     ]
     directory_size = sum(
         _DIR_COUNT.size
@@ -160,14 +188,16 @@ def pack(
     cursor = postings_base
     for column in per_column:
         directory_parts.append(_DIR_COUNT.pack(len(column)))
-        for gram, entries in column:
+        for gram, ids in column:
             gram_bytes = gram.encode("utf-8")
             directory_parts.append(_GRAM_HEAD.pack(len(gram_bytes)))
             directory_parts.append(gram_bytes)
-            directory_parts.append(_GRAM_TAIL.pack(len(entries), cursor))
-            for row_id, position in entries:
-                posting_parts.append(_POSTING.pack(row_id, position))
-            cursor += len(entries) * _POSTING.size
+            directory_parts.append(_GRAM_TAIL.pack(len(ids), cursor))
+            if _SWAP:
+                ids = array(_ROW_ID, ids)
+                ids.byteswap()
+            posting_parts.append(ids.tobytes())
+            cursor += len(ids) * _ROW_ID_SIZE
     payload = b"".join(
         [stats_bytes, offsets_bytes, blob, *directory_parts, *posting_parts]
     )
@@ -371,20 +401,20 @@ class ArtifactReader:
         """The sorted grams indexed for ``column``."""
         return tuple(sorted(self._directories[column]))
 
-    def postings(self, column: int, gram: str) -> tuple[tuple[int, int], ...]:
-        """The ``(row id, position)`` postings of ``gram`` in ``column``.
+    def postings(self, column: int, gram: str) -> array:
+        """The sorted ids of the rows whose ``column`` value holds ``gram``.
 
-        Returns an empty tuple for grams that never occur.
+        Read off the map in one call; empty for grams that never occur.
         """
         entry = self._directories[column].get(gram)
         if entry is None:
-            return ()
+            return NO_ROWS
         count, offset = entry
-        return tuple(
-            _POSTING.iter_unpack(
-                self._payload[offset : offset + count * _POSTING.size]
-            )
-        )
+        ids = array(_ROW_ID)
+        ids.frombytes(self._payload[offset : offset + count * _ROW_ID_SIZE])
+        if _SWAP:
+            ids.byteswap()
+        return ids
 
     def close(self) -> None:
         """Release the payload view and the map (idempotent)."""

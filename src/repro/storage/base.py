@@ -6,7 +6,7 @@ held is an implementation degree of freedom the calculus never
 constrains.  This module pins that degree of freedom down as a small
 protocol — :class:`RelationStorage` — so the same engines can run over
 a frozenset in memory (:class:`InMemoryStorage`) or over an on-disk
-positional n-gram index (:class:`repro.storage.ngram.NGramIndexStorage`)
+n-gram index (:class:`repro.storage.ngram.NGramIndexStorage`)
 without changing a line of evaluation code.
 
 The protocol also standardizes *statistics*: every backend reports a

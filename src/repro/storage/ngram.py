@@ -1,15 +1,16 @@
-"""The positional n-gram index backend.
+"""The n-gram index backend.
 
 Every column of the relation gets an inverted index mapping each
-``n``-gram to the sorted ``(row id, position)`` pairs where it occurs —
-the simstring ``ngramdb_writer`` shape, specialized to one gram size.
-The index supports one query: :meth:`NGramIndexStorage.candidates`
-takes a required *factor* (a substring every matching column value must
-contain, derived by the planner from a selection machine's transition
-graph) and returns the row ids that could satisfy it.  Positions make
-the probe precise for factors longer than ``n``: the factor's
-constituent grams must occur at *consecutive* positions, not merely
-somewhere in the value.
+``n``-gram to the sorted ids of the rows whose value holds it — the
+simstring ``ngramdb_writer`` shape, specialized to one gram size, in
+the one posting format :func:`repro.storage.artifact.build_postings`
+builds.  The index supports one query:
+:meth:`NGramIndexStorage.candidates` takes a required *factor* (a
+substring every matching column value must contain, derived by the
+planner from a selection machine's transition graph) and returns
+exactly the row ids whose value contains it: the posting arrays of the
+factor's distinct grams are intersected in C, and a factor longer than
+``n`` is then confirmed by a substring test on each surviving row.
 
 The index lives either fully in memory (:meth:`build`) or behind a
 memory-mapped on-disk artifact (:meth:`open` / :meth:`ensure`) that
@@ -20,6 +21,7 @@ database to a worker process costs bytes, not tuple sets.
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Iterable, Iterator
 from pathlib import Path
 
@@ -41,7 +43,7 @@ def _canonical(tuples: Iterable[tuple[str, ...]]) -> tuple[tuple[str, ...], ...]
 
 
 class NGramIndexStorage:
-    """A relation stored with positional n-gram indexes per column.
+    """A relation stored with an n-gram index per column.
 
     Construct via :meth:`build` (in memory), :meth:`open` (an existing
     artifact) or :meth:`ensure` (open-if-current, else build + write).
@@ -60,12 +62,10 @@ class NGramIndexStorage:
         arity: int,
         reader: "artifact_format.ArtifactReader | None" = None,
         stats: RelationStats | None = None,
-        postings: list[dict[str, tuple[tuple[int, int], ...]]] | None = None,
+        postings: list[dict[str, array]] | None = None,
         *,
         extra_rows: tuple[tuple[str, ...], ...] = (),
-        extra_postings: (
-            list[dict[str, tuple[tuple[int, int], ...]]] | None
-        ) = None,
+        extra_postings: list[dict[str, array]] | None = None,
         dead: frozenset[int] = frozenset(),
         base_sha: bytes | None = None,
         row_ids: dict[tuple[str, ...], int] | None = None,
@@ -87,9 +87,10 @@ class NGramIndexStorage:
         self._row_ids = row_ids
         self._verified = False
         self._row_cache: list[tuple[str, ...] | None] | None = None
+        self._live: tuple[tuple[str, ...], ...] | None = None
         self._tuples: frozenset[tuple[str, ...]] | None = None
         self._columns: dict[int, tuple[str, ...]] = {}
-        self._gram_cache: dict[tuple[int, str], tuple[tuple[int, int], ...]] = {}
+        self._gram_cache: dict[tuple[int, str], array] = {}
 
     # -- construction ---------------------------------------------------
 
@@ -122,15 +123,7 @@ class NGramIndexStorage:
             )
         tracer = current_tracer()
         with tracer.span("index.build", stage="index", rows=len(rows)):
-            postings = [
-                {
-                    gram: tuple(entries)
-                    for gram, entries in artifact_format._column_postings(
-                        rows, column, n
-                    ).items()
-                }
-                for column in range(derived)
-            ]
+            postings = artifact_format.build_postings(rows, n, derived)
         tracer.add("index.build")
         return cls(
             rows,
@@ -238,7 +231,7 @@ class NGramIndexStorage:
 
     def scan(self) -> Iterator[tuple[str, ...]]:
         """Iterate tuples in row-id (canonical sorted, then append) order."""
-        return self._live_rows()
+        return iter(self._live_rows())
 
     def contains(self, row: tuple[str, ...]) -> bool:
         """Membership via the cached frozenset."""
@@ -271,51 +264,52 @@ class NGramIndexStorage:
     # -- index probes ---------------------------------------------------
 
     def candidates(self, column: int, factor: str) -> frozenset[int] | None:
-        """Row ids whose ``column`` value *may* contain ``factor``.
+        """The ids of the live rows whose ``column`` value contains ``factor``.
 
-        Sound, not complete in reverse: every row whose value contains
-        the factor is returned; rows returned need not contain it only
-        when ``factor`` is shorter than the gram size, in which case
-        ``None`` signals "cannot prefilter on this factor".
+        Exact for factors of at least ``n`` characters: the posting
+        arrays of the factor's distinct grams are intersected rarest
+        first, tombstones are subtracted, and when the factor is longer
+        than ``n`` only the rows whose value contains it are kept.  A
+        shorter factor returns ``None``, "cannot prefilter on this
+        factor".
 
         Args:
             column: The column index to probe.
             factor: The required substring.
 
         Returns:
-            The candidate row-id set, or ``None`` when the factor is
+            The matching row-id set, or ``None`` when the factor is
             too short to probe.  Records an ``index.probe`` counter.
         """
         from repro.observability import current_tracer
 
-        if len(factor) < self._n:
+        n = self._n
+        if len(factor) < n:
             return None
         current_tracer().add("index.probe")
-        grams = [
-            factor[start : start + self._n]
-            for start in range(len(factor) - self._n + 1)
-        ]
-        # (row id, position) occurrences per distinct gram, built once
-        # per probe: a factor like ``gcgcgc`` repeats its grams.
-        occurrences: dict[str, set[tuple[int, int]]] = {}
-
-        def occurring(gram: str) -> set[tuple[int, int]]:
-            if gram not in occurrences:
-                occurrences[gram] = set(self._gram_postings(column, gram))
-            return occurrences[gram]
-
-        starts = occurring(grams[0])
-        for offset, gram in enumerate(grams[1:], start=1):
-            if not starts:
+        rarest, *others = sorted(
+            (
+                self._gram_postings(column, gram)
+                for gram in {
+                    factor[start : start + n]
+                    for start in range(len(factor) - n + 1)
+                }
+            ),
+            key=len,
+        )
+        found = set(rarest)
+        for ids in others:
+            if not found:
                 break
-            present = occurring(gram)
-            starts = {
-                (row_id, start)
-                for row_id, start in starts
-                if (row_id, start + offset) in present
+            found.intersection_update(ids)
+        if self._dead:
+            found -= self._dead
+        if len(factor) > n:
+            row = self._row
+            found = {
+                row_id for row_id in found if factor in row(row_id)[column]
             }
-        found = frozenset(row_id for row_id, _ in starts)
-        return found - self._dead if self._dead else found
+        return frozenset(found)
 
     def rows_for(self, row_ids: Iterable[int]) -> Iterator[tuple[str, ...]]:
         """Decode the tuples with the given row ids, in sorted id order.
@@ -340,19 +334,23 @@ class NGramIndexStorage:
             return len(self._rows)
         return self._reader.row_count
 
-    def _live_rows(self) -> Iterator[tuple[str, ...]]:
-        """Iterate live tuples: base (minus tombstones), then appends."""
+    def _live_rows(self) -> tuple[tuple[str, ...], ...]:
+        """The live tuples: base (minus tombstones), then appends.
+
+        A derived version filters its tombstones once, on first use.
+        """
         if not self._mutated:
-            yield from self._all_rows()
-            return
-        base = self._base_count()
-        dead = self._dead
-        for row_id, row in enumerate(self._all_rows()):
-            if row_id not in dead:
-                yield row
-        for offset, row in enumerate(self._extra_rows):
-            if base + offset not in dead:
-                yield row
+            return self._all_rows()
+        if self._live is None:
+            dead = self._dead
+            self._live = tuple(
+                row
+                for row_id, row in enumerate(
+                    self._all_rows() + self._extra_rows
+                )
+                if row_id not in dead
+            )
+        return self._live
 
     def _canonical_live(self) -> tuple[tuple[str, ...], ...]:
         if not self._mutated:
@@ -382,44 +380,35 @@ class NGramIndexStorage:
 
         current_tracer().add("index.stale_fallback")
         self._gram_cache.clear()
-        self._postings = [
-            {
-                gram: tuple(entries)
-                for gram, entries in artifact_format._column_postings(
-                    self._rows, column, self._n
-                ).items()
-            }
-            for column in range(self._arity)
-        ]
+        self._postings = artifact_format.build_postings(
+            self._rows, self._n, self._arity
+        )
 
-    def _gram_postings(
-        self, column: int, gram: str
-    ) -> tuple[tuple[int, int], ...]:
+    def _gram_postings(self, column: int, gram: str) -> array:
         base = self._base_gram_postings(column, gram)
         if self._extra_postings is not None:
-            extra = self._extra_postings[column].get(gram, ())
-            if extra:
+            extra = self._extra_postings[column].get(gram)
+            if extra is not None:
                 return base + extra
         return base
 
-    def _base_gram_postings(
-        self, column: int, gram: str
-    ) -> tuple[tuple[int, int], ...]:
+    def _base_gram_postings(self, column: int, gram: str) -> array:
         if self._mutated and self._postings is None:
             self._verify_artifact()
         if self._postings is not None:
-            return self._postings[column].get(gram, ())
+            return self._postings[column].get(gram, artifact_format.NO_ROWS)
         key = (column, gram)
         if key not in self._gram_cache:
             self._gram_cache[key] = self._reader.postings(column, gram)
         return self._gram_cache[key]
 
     def _row(self, row_id: int) -> tuple[str, ...]:
+        rows = self._rows
+        if row_id < len(rows):
+            return rows[row_id]
         base = self._base_count()
         if row_id >= base:
             return self._extra_rows[row_id - base]
-        if self._reader is None or self._rows:
-            return self._rows[row_id]
         if self._row_cache is None:
             self._row_cache = [None] * self._reader.row_count
         cached = self._row_cache[row_id]
@@ -485,12 +474,13 @@ class NGramIndexStorage:
 
         Postings are maintained incrementally in memory: deletes
         tombstone row ids (filtered out of probe results), inserts
-        append rows after the base id block and layer their grams into
-        an extra posting table merged at probe time — O(|Δ|·L) work,
-        never a rebuild.  On-disk artifacts are **not** rewritten; the
-        derived storage remembers the content fingerprint its base
-        postings came from and falls back to live in-memory postings
-        if the file no longer matches (see :meth:`_verify_artifact`).
+        append rows after the base id block, and each gram they hold
+        gets their ids appended to an extra posting table merged at
+        probe time — O(|Δ|·L) work, never a rebuild.  On-disk
+        artifacts are **not** rewritten; the derived storage remembers
+        the content fingerprint its base postings came from and falls
+        back to live in-memory postings if the file no longer matches
+        (see :meth:`_verify_artifact`).
 
         Args:
             inserts: Rows to add (applied after the deletes).
@@ -536,6 +526,7 @@ class NGramIndexStorage:
                 ]
             else:
                 extra_postings = [{} for _ in range(self._arity)]
+            appended = []
             changed = False
             for row in sorted(deletes):
                 row_id = self._resolve_id(row_ids, row, base, extra_rows)
@@ -549,19 +540,22 @@ class NGramIndexStorage:
                         dead.discard(row_id)
                         changed = True
                     continue
-                row_id = base + len(extra_rows)
+                row_ids[row] = base + len(extra_rows)
                 extra_rows.append(row)
-                row_ids[row] = row_id
-                for column, value in enumerate(row):
-                    for position in range(len(value) - self._n + 1):
-                        gram = value[position : position + self._n]
-                        bucket = extra_postings[column].get(gram, ())
-                        extra_postings[column][gram] = bucket + (
-                            (row_id, position),
-                        )
+                appended.append(row)
                 changed = True
             if not changed:
                 return self
+            fresh = artifact_format.build_postings(
+                appended,
+                self._n,
+                self._arity,
+                first=base + len(extra_rows) - len(appended),
+            )
+            for layer, grams in zip(extra_postings, fresh):
+                for gram, ids in grams.items():
+                    held = layer.get(gram)
+                    layer[gram] = ids if held is None else held + ids
         tracer.add("index.delta")
         base_sha = self._base_sha
         if base_sha is None and self._reader is not None:

@@ -234,8 +234,12 @@ class TestProtocolAbuse:
                     )
                     assert response["error"]["code"] == ERR_EVALUATION
                     messages.add(response["error"]["message"])
-                (message,) = messages
-                assert message.startswith("UnboundedQueryError: "), formula
+                assert messages == {
+                    "UnboundedQueryError: an accepted tape is "
+                    "unconstrained beyond 'a'; materializing Σ^<=29 "
+                    "extensions is infeasible — the query does not "
+                    "limit this output"
+                }, formula
         finally:
             handle.stop()
 

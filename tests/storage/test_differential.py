@@ -1,10 +1,10 @@
 """Differential proof: the storage backend never changes answers.
 
 Every engine must return byte-identical answer sets whether relations
-live in plain frozensets or behind the positional n-gram index — on
+live in plain frozensets or behind the n-gram index — on
 random databases from every workload generator (hypothesis-driven) and
 on adversarial relations whose strings share all their n-grams, the
-regime where a non-positional index would over- or under-prune.
+regime where a probe that only intersected grams would over-prune.
 """
 
 import pytest
@@ -129,7 +129,7 @@ def test_backends_agree_on_every_workload_generator(generator, seed):
 
 
 #: Strings built from {"gc", "cg"} blocks share every 2-gram while
-#: differing in gram order — adversarial for a positional index.
+#: differing in gram order — adversarial for an n-gram index.
 _SHARED_GRAM = st.lists(
     st.sampled_from(["gc", "cg", "g", "c"]), min_size=0, max_size=3
 ).map("".join)

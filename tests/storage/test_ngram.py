@@ -1,4 +1,4 @@
-"""The positional n-gram index: probes, the artifact format, sharing."""
+"""The n-gram index: probes, the artifact format, sharing."""
 
 import pickle
 
@@ -13,7 +13,7 @@ from repro.storage.artifact import MAGIC, content_fingerprint
 DNA = Alphabet("acgt")
 
 #: Adversarial strings sharing all their 2-grams but differing in order
-#: — a positional index must separate them, a bag-of-grams one cannot.
+#: — an exact probe must separate them, a bag-of-grams one cannot.
 SHARED_GRAM_ROWS = (
     ("gcgc",),
     ("cgcg",),
@@ -38,7 +38,7 @@ def test_candidates_respect_gram_positions():
     assert ids("cgc") == {"gcgc", "cgcg", "gcgcgc"}
     assert ids("gcgcgc") == {"gcgcgc"}
     # "cgcg" holds every 2-gram of "gcgc" ("gc" and "cg") — only the
-    # positional consecutive-shift intersection can exclude it.
+    # substring check after the gram intersection can exclude it.
     assert ids("gcgc") == {"gcgc", "gcgcgc"}
     assert ids("cgcg") == {"cgcg", "gcgcgc"}
     assert ids("gccg") == set()

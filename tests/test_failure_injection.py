@@ -7,7 +7,10 @@ This module drives malformed inputs through each public surface.
 """
 
 import os
+import subprocess
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
@@ -173,6 +176,16 @@ UNBOUNDED_AT_LENGTH_30 = (
     ("exists y: R2(y) & [x,y]l(x = y)", _r2_of_five_letter_strings, True),
 )
 
+#: The error both :data:`UNBOUNDED_AT_LENGTH_30` queries raise: the
+#: failing generator run is the first in sorted key order.
+UNBOUNDED_BEYOND_A = (
+    "an accepted tape is unconstrained beyond 'a'; materializing "
+    "Σ^<=29 extensions is infeasible — the query does not limit this "
+    "output"
+)
+
+REPO_SRC = str(Path(__file__).resolve().parents[1] / "src")
+
 
 @dataclass(frozen=True)
 class CrashingTask(NaiveShardTask):
@@ -290,7 +303,7 @@ class TestParallelFaultInjection:
                     )
                 messages[workers] = str(caught.value)
             assert messages[2] == messages[1], text
-            assert "is unconstrained beyond" in messages[1]
+            assert messages[1] == UNBOUNDED_BEYOND_A, text
             # The last session ran at two workers: an in-process run
             # below the pooling floor happens once, a pooled one in a
             # worker, and no worker died.
@@ -362,7 +375,42 @@ class TestCLIFailures:
                 assert code == 2
                 errors[workers] = capsys.readouterr().err
             assert errors["2"] == errors["1"], text
-            assert "is unconstrained beyond" in errors["1"]
+            assert errors["1"] == f"error: {UNBOUNDED_BEYOND_A}\n", text
+
+    def test_generator_failure_message_is_the_same_under_every_hash_seed(
+        self, tmp_path
+    ):
+        # The 32 bindings come out of a frozenset in string-hash order;
+        # the failing run reported must not depend on it.
+        import json
+
+        path = tmp_path / "db.json"
+        path.write_text(json.dumps(_r2_of_five_letter_strings().to_json()))
+        errors = set()
+        for seed in ("0", "1", "2"):
+            for workers in ("1", "2"):
+                done = subprocess.run(
+                    [
+                        sys.executable, "-m", "repro.cli", "query",
+                        "--alphabet", "ab", "--db", str(path),
+                        "--head=x", "--length", "30",
+                        "--workers", workers,
+                        "exists y: R2(y) & [x,y]l(x = y)",
+                    ],
+                    env={
+                        "PYTHONPATH": REPO_SRC,
+                        "PATH": "/usr/bin:/bin",
+                        "PYTHONHASHSEED": seed,
+                        "PYTHONIOENCODING": "utf-8",
+                    },
+                    capture_output=True,
+                    text=True,
+                    encoding="utf-8",
+                    timeout=120,
+                )
+                assert done.returncode == 2, done.stderr
+                errors.add(done.stderr)
+        assert errors == {f"error: {UNBOUNDED_BEYOND_A}\n"}
 
     def test_unknown_relation_is_empty_not_crash(self, tmp_path):
         import json
