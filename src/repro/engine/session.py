@@ -20,6 +20,7 @@ across the whole batch.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
+from contextlib import nullcontext
 from functools import partial
 from time import perf_counter
 from typing import TYPE_CHECKING
@@ -72,6 +73,18 @@ class QueryEngine:
     derivations are pure, so a session may be shared freely within a
     process (CPython's GIL makes individual cache operations atomic;
     redundant recomputation under races is harmless).
+
+    Instrumentation has one channel, the ambient
+    :func:`~repro.observability.current_tracer`.  A session built with
+    ``tracer=`` makes that tracer ambient for the whole body of
+    :meth:`evaluate`, :meth:`evaluate_many` and :meth:`apply_delta`,
+    and :meth:`trace_report` reads it back.  A session without one
+    activates nothing, so its work records into whatever tracer the
+    caller made ambient (a daemon request's, say) or nowhere.  The
+    building blocks (:meth:`compile`, :meth:`kernel`,
+    :meth:`query_plan`, :meth:`domain_for`, …) activate nothing
+    either: called directly, they record into the ambient tracer like
+    every other layer.
     """
 
     def __init__(self, *, tracer: "Tracer | NullTracer | None" = None) -> None:
@@ -98,44 +111,20 @@ class QueryEngine:
         #: Materialized answers maintained under deltas (repro.delta).
         self._materialized = register(MaterializedStore())
 
-    # -- tracing helpers -------------------------------------------------
+    # -- tracing ---------------------------------------------------------
 
-    def _activated(self, compute):
-        """Wrap a cache-miss thunk so it runs under this session's tracer.
+    def _traced(self):
+        """Make this session's tracer ambient, when it has one.
 
-        Lower layers (the Theorem 3.1 compiler, Lemma 3.1
-        specialization, the algebra translator, the plan executor) open their
-        own stage-tagged spans through the ambient
-        :func:`~repro.observability.current_tracer`; activation routes
-        those spans into this session's tracer.  With tracing disabled
-        the thunk is returned untouched, so cache misses pay nothing.
+        The entry points (:meth:`evaluate`, :meth:`evaluate_many`,
+        :meth:`apply_delta`) run their whole body under it; every
+        instrumentation site below them writes to
+        :func:`~repro.observability.current_tracer`.  A session without
+        a tracer leaves the caller's ambient tracer (say, a daemon
+        request's) in place.
         """
         tracer = self.tracer
-        if not tracer.enabled:
-            return compute
-
-        def wrapped():
-            with activate(tracer):
-                return compute()
-
-        return wrapped
-
-    def _staged(self, stage: str, name: str, compute):
-        """Like :meth:`_activated`, adding an explicit stage span.
-
-        Used for computations whose implementing layer is not itself
-        instrumented (e.g. the Section 5 safety analysis behind the
-        ``plan`` stage).
-        """
-        tracer = self.tracer
-        if not tracer.enabled:
-            return compute
-
-        def wrapped():
-            with activate(tracer), tracer.span(name, stage=stage):
-                return compute()
-
-        return wrapped
+        return activate(tracer) if tracer.enabled else nullcontext()
 
     def trace_report(self) -> TraceReport:
         """The unified :class:`~repro.observability.TraceReport`.
@@ -159,15 +148,16 @@ class QueryEngine:
         alphabet: Alphabet,
         variables: "tuple[Var, ...] | None" = None,
     ) -> "CompiledFormula":
-        """The Theorem 3.1 machine for ``formula``, cached structurally."""
+        """The Theorem 3.1 machine for ``formula``, cached structurally.
+
+        A miss records its ``compile`` spans into the ambient tracer.
+        """
         from repro.fsa.compile import build_string_formula, resolve_layout
 
         layout = resolve_layout(formula, variables)
         return self._compile.get_or_compute(
             (formula, alphabet, layout),
-            self._activated(
-                lambda: build_string_formula(formula, alphabet, layout)
-            ),
+            lambda: build_string_formula(formula, alphabet, layout),
         )
 
     def kernel(self, fsa: "FSA"):
@@ -182,7 +172,8 @@ class QueryEngine:
         non-generative selection, the plan's filter steps) never
         recompile — and since the scan kernel carries its per-rule
         summary memo, compressed-input summaries are shared across
-        every query and batch of the session.
+        every query and batch of the session.  A miss records into the
+        ambient tracer.
 
         Args:
             fsa: The machine to compile.
@@ -192,9 +183,7 @@ class QueryEngine:
         """
         from repro.fsa.kernel import kernel_for
 
-        return self._kernel.get_or_compute(
-            fsa, self._activated(lambda: kernel_for(fsa))
-        )
+        return self._kernel.get_or_compute(fsa, lambda: kernel_for(fsa))
 
     def specialized(
         self, fsa: "FSA", fixed: Mapping[int, str], prune: bool = True
@@ -204,8 +193,7 @@ class QueryEngine:
 
         key = (fsa, tuple(sorted(fixed.items())), prune)
         return self._specialize.get_or_compute(
-            key,
-            self._activated(lambda: specialize(fsa, dict(fixed), prune=prune)),
+            key, lambda: specialize(fsa, dict(fixed), prune=prune)
         )
 
     def generated(
@@ -300,11 +288,8 @@ class QueryEngine:
         from repro.fsa.generate import accepted_tuples
 
         machine = self.specialized(fsa, dict(key)) if key else fsa
-        return self._staged(
-            "execute",
-            "execute.generate",
-            lambda: accepted_tuples(machine, max_length=cap),
-        )()
+        with current_tracer().span("execute.generate", stage="execute"):
+            return accepted_tuples(machine, max_length=cap)
 
     def limit_report(
         self, formula: "Formula", alphabet: Alphabet
@@ -315,36 +300,34 @@ class QueryEngine:
         """
         from repro.safety.domain_independence import limit_function
 
-        return self._limit.get_or_compute(
-            (formula, alphabet),
-            self._staged(
-                "plan",
-                "plan.limit",
-                lambda: limit_function(
-                    formula, alphabet, compiler=self.compile
-                ),
-            ),
-        )
+        def compute():
+            with current_tracer().span("plan.limit", stage="plan"):
+                return limit_function(formula, alphabet, compiler=self.compile)
+
+        return self._limit.get_or_compute((formula, alphabet), compute)
 
     def query_plan(self, query: "Query", db: Database, cap: int):
         """The normalized :class:`~repro.ir.plan.QueryPlan`, cached.
 
         Keyed by the formula, head and alphabet, so the session keeps
         one plan per query.  The plan is stamped with the cap and the
-        database's relation *statistics signature* (per-column
-        distinct counts and length histograms, from each storage
-        backend's ``stats()``): statistically identical databases share
-        one cost-ranked plan, and a lookup under another cap or
-        signature — after an update moved the statistics or the
-        certified cap — replans and replaces the entry in place,
-        counted as a ``cache.invalidate.ir`` replacement.
+        database's relation *statistics signature* (every relation's
+        ``stats()`` from its storage backend, whole): statistically
+        identical databases share one cost-ranked plan, and a lookup
+        under another cap or signature — after an update moved the
+        statistics or the certified cap — replans and replaces the
+        entry in place, counted as a ``cache.invalidate.ir``
+        replacement.  The cost model prices rows, distinct counts,
+        longest lengths and character totals; the length histograms
+        only ride in the stamp.
 
         After normalization the index-prefilter pushdown pass
         (:func:`repro.ir.rewrite.attach_index_prefilters`) derives
         mandatory substring factors from the branch's selection
         machines — compiled through this session's cache — and attaches
-        them to the join steps.  Recorded under the ``normalize``
-        stage.
+        them to the join steps.  A miss records a ``normalize.plan``
+        span, and a replacement a ``cache.invalidate.ir`` count, into
+        the ambient tracer.
 
         Args:
             query: The query to normalize.
@@ -361,8 +344,7 @@ class QueryEngine:
         model = CostModel.for_database(db, query.alphabet, cap)
 
         def compute():
-            tracer = self.tracer
-            with activate(tracer), tracer.span(
+            with current_tracer().span(
                 "normalize.plan", stage="normalize"
             ) as span:
                 plan = build_query_plan(query.formula, query.head, model)
@@ -383,8 +365,7 @@ class QueryEngine:
             stamp=(cap, model.signature),
         )
         if self._ir.stats.invalidated != replaced:
-            tracer = self.tracer if self.tracer.enabled else current_tracer()
-            tracer.add("cache.invalidate.ir")
+            current_tracer().add("cache.invalidate.ir")
         return plan
 
     def optimized_translation(self, query: "Query"):
@@ -414,20 +395,20 @@ class QueryEngine:
         key = ("expr", query.formula, query.head, query.alphabet)
 
         def build():
-            simplified = simplify(query.formula)
-            expression = translate_branches(
-                simplified, query.head, query.alphabet, compiler=self.compile
-            )
-            if expression is None:
-                expression = calculus_to_algebra(
+            with current_tracer().span("optimize.translate", stage="optimize"):
+                simplified = simplify(query.formula)
+                expression = translate_branches(
                     simplified, query.head, query.alphabet,
                     compiler=self.compile,
                 )
-            return optimize_expression(expression, session=self)
+                if expression is None:
+                    expression = calculus_to_algebra(
+                        simplified, query.head, query.alphabet,
+                        compiler=self.compile,
+                    )
+                return optimize_expression(expression, session=self)
 
-        return self._optimize.get_or_compute(
-            key, self._staged("optimize", "optimize.translate", build)
-        )
+        return self._optimize.get_or_compute(key, build)
 
     def fused_select(self, first: "FSA", second: "FSA") -> "FSA":
         """One machine accepting ``L(first) ∩ L(second)``, cached.
@@ -447,15 +428,13 @@ class QueryEngine:
         from repro.fsa.product import sequence_machines
 
         def build() -> "FSA":
-            fused = lockstep_intersection(first, second)
-            if fused is not None:
-                return fused
-            return sequence_machines(first, second)
+            with current_tracer().span("optimize.fuse", stage="optimize"):
+                fused = lockstep_intersection(first, second)
+                if fused is not None:
+                    return fused
+                return sequence_machines(first, second)
 
-        return self._optimize.get_or_compute(
-            ("fuse", first, second),
-            self._staged("optimize", "optimize.fuse", build),
-        )
+        return self._optimize.get_or_compute(("fuse", first, second), build)
 
     def minimized_machine(self, fsa: "FSA") -> "FSA":
         """The bisimulation quotient of a bare machine, cached.
@@ -466,17 +445,16 @@ class QueryEngine:
         from repro.fsa.minimize import bisimulation_quotient
 
         return self._minimize.get_or_compute(
-            ("machine", fsa),
-            self._activated(lambda: bisimulation_quotient(fsa)),
+            ("machine", fsa), lambda: bisimulation_quotient(fsa)
         )
 
     def note_rejection(self, plan) -> None:
         """Record an *actually taken* naive fallback, exactly once.
 
         Engines call this only when they are the one doing the
-        fallback work.  The reason lands in :attr:`stats` (visible in ``--stats`` without
-        tracing) and — when tracing is enabled — as a
-        ``plan.reject.<reason>`` counter.
+        fallback work.  The reason lands in :attr:`stats` (visible in
+        ``--stats`` without tracing) and as a ``plan.reject.<reason>``
+        counter in the ambient tracer.
 
         Args:
             plan: The :class:`~repro.ir.plan.QueryPlan` whose root was
@@ -486,7 +464,7 @@ class QueryEngine:
         if reason is None:
             return
         self.stats.record_reject(reason)
-        self.tracer.add(f"plan.reject.{reason}")
+        current_tracer().add(f"plan.reject.{reason}")
 
     def certified_length(self, query: "Query", db: Database) -> int:
         """``W_φ(db)`` from the cached safety analysis.
@@ -512,7 +490,9 @@ class QueryEngine:
         answers.  The session caches need no eviction: every key holds
         the inputs its value is computed from, and a plan priced
         against the old statistics is replaced on its next lookup
-        (:meth:`query_plan`).  Recorded under the ``delta`` stage.
+        (:meth:`query_plan`).  Recorded under the ``delta`` stage, in
+        this session's tracer when it has one and in the caller's
+        ambient tracer otherwise.
 
         Args:
             db: The database version to update.
@@ -523,28 +503,22 @@ class QueryEngine:
         """
         if delta.is_empty:
             return db
-        # An ambient tracer (e.g. the service's per-request tracer)
-        # records the update when the session itself has none.
-        tracer = self.tracer if self.tracer.enabled else current_tracer()
-        if not tracer.enabled:
-            return self._apply_delta(db, delta)
-        with activate(tracer), tracer.span(
-            "delta.apply", stage="delta", operations=delta.size
-        ):
-            return self._apply_delta(db, delta)
-
-    def _apply_delta(self, db: Database, delta) -> Database:
-        updated = db.apply(delta)
-        if updated is db:
-            return db
-        touched = delta.relations()
-        tracer = current_tracer()
-        tracer.add("delta.applied")
-        with tracer.span(
-            "delta.maintain", stage="delta", relations=len(touched)
-        ):
-            self._materialized.maintain(db, updated, delta, self)
-        return updated
+        with self._traced():
+            tracer = current_tracer()
+            with tracer.span(
+                "delta.apply", stage="delta", operations=delta.size
+            ):
+                updated = db.apply(delta)
+                if updated is db:
+                    return db
+                tracer.add("delta.applied")
+                with tracer.span(
+                    "delta.maintain",
+                    stage="delta",
+                    relations=len(delta.relations()),
+                ):
+                    self._materialized.maintain(db, updated, delta, self)
+                return updated
 
     def _materialized_key(self, query: "Query", length: int | None):
         return (query.formula, query.head, query.alphabet, length)
@@ -567,7 +541,7 @@ class QueryEngine:
         plan = self.query_plan(query, db, cap)
         if plan.fallback_reason is not None:
             self.note_rejection(plan)
-            self.tracer.add("delta.materialize.naive_fallback")
+            current_tracer().add("delta.materialize.naive_fallback")
             return None
         branch_rows = tuple(
             execute_branch(
@@ -623,7 +597,8 @@ class QueryEngine:
 
         Enumeration is by length then lexicographic, so the pool keeps
         only the longest enumeration per alphabet and answers shorter
-        requests as prefixes of it.
+        requests as prefixes of it.  An enumeration records a
+        ``plan.domain`` span into the ambient tracer.
         """
         if length < 0:
             return ()
@@ -635,12 +610,13 @@ class QueryEngine:
                 return pool
             return pool[: alphabet.count_strings(length)]
         target = max(length, self._domain_floor.get(alphabet, -1))
+        tracer = current_tracer()
         started = perf_counter()
-        with self.tracer.span("plan.domain", stage="plan", length=target):
+        with tracer.span("plan.domain", stage="plan", length=target):
             pool = tuple(alphabet.strings(target))
         self._domain_stats.seconds += perf_counter() - started
         self._domain_stats.misses += 1
-        self.tracer.gauge("domain.pool_size", len(pool))
+        tracer.gauge("domain.pool_size", len(pool))
         self._domains[alphabet] = (target, pool)
         if target == length:
             return pool
@@ -678,45 +654,40 @@ class QueryEngine:
         fall through to a normal evaluation — the answer never
         depends on the flag.
         """
-        if materialize and domain is None:
+        with self._traced():
+            if materialize and domain is None:
+                started = perf_counter()
+                entry = self._materialized.lookup(
+                    self._materialized_key(query, length), db
+                )
+                if entry is not None:
+                    self.stats.record_evaluation(
+                        "materialized", perf_counter() - started
+                    )
+                    return entry.answer
+                answer = self._materialize_miss(query, db, length)
+                if answer is not None:
+                    self.stats.record_evaluation(
+                        "materialized", perf_counter() - started
+                    )
+                    return answer
+            strategy = get_engine(engine)
+            if workers is not None:
+                configured = getattr(strategy, "configured", None)
+                if configured is not None:
+                    strategy = configured(workers=workers)
+            fixed_domain = tuple(domain) if domain is not None else None
             started = perf_counter()
-            entry = self._materialized.lookup(
-                self._materialized_key(query, length), db
-            )
-            if entry is not None:
-                self.stats.record_evaluation(
-                    "materialized", perf_counter() - started
-                )
-                return entry.answer
-            answer = self._materialize_miss(query, db, length)
-            if answer is not None:
-                self.stats.record_evaluation(
-                    "materialized", perf_counter() - started
-                )
-                return answer
-        strategy = get_engine(engine)
-        if workers is not None:
-            configured = getattr(strategy, "configured", None)
-            if configured is not None:
-                strategy = configured(workers=workers)
-        fixed_domain = tuple(domain) if domain is not None else None
-        started = perf_counter()
-        tracer = self.tracer
-        if tracer.enabled:
-            with activate(tracer), tracer.span(
-                "engine.evaluate",
-                engine=strategy.name,
-                head=len(query.head),
+            with current_tracer().span(
+                "engine.evaluate", engine=strategy.name, head=len(query.head)
             ):
                 result = strategy.evaluate(
                     query, db, self, length=length, domain=fixed_domain
                 )
-        else:
-            result = strategy.evaluate(
-                query, db, self, length=length, domain=fixed_domain
+            self.stats.record_evaluation(
+                strategy.name, perf_counter() - started
             )
-        self.stats.record_evaluation(strategy.name, perf_counter() - started)
-        return result
+            return result
 
     def evaluate_many(
         self,
@@ -738,25 +709,26 @@ class QueryEngine:
         ``workers`` and ``materialize`` are forwarded to
         every member evaluation.  Results are returned in query order.
         """
-        for query in queries:
-            if length is not None:
-                bound: int | None = length
-            else:
-                report = self.limit_report(query.formula, query.alphabet)
-                bound = report.bound(db) if report is not None else None
-            if bound is not None:
-                self.reserve_domain(query.alphabet, bound)
-        return [
-            self.evaluate(
-                query,
-                db,
-                length=length,
-                engine=engine,
-                workers=workers,
-                materialize=materialize,
-            )
-            for query in queries
-        ]
+        with self._traced():
+            for query in queries:
+                if length is not None:
+                    bound: int | None = length
+                else:
+                    report = self.limit_report(query.formula, query.alphabet)
+                    bound = report.bound(db) if report is not None else None
+                if bound is not None:
+                    self.reserve_domain(query.alphabet, bound)
+            return [
+                self.evaluate(
+                    query,
+                    db,
+                    length=length,
+                    engine=engine,
+                    workers=workers,
+                    materialize=materialize,
+                )
+                for query in queries
+            ]
 
 
 _DEFAULT: QueryEngine | None = None

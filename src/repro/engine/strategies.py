@@ -57,6 +57,7 @@ from repro.core.syntax import free_variables
 from repro.engine.registry import register_engine
 from repro.errors import AssignmentError
 from repro.ir.execute import execute_plan
+from repro.observability import current_tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.database import Database
@@ -93,7 +94,7 @@ def _check_candidates(
     Args:
         query: The calculus query (its head fixes the tuple width).
         db: The database instance.
-        session: The invoking session (tracer, rejection stats).
+        session: The invoking session (rejection stats).
         plan: The normalized plan whose simplified formula is checked.
         domain: The candidate domain.
         executor: An optional executor sharding the candidate space.
@@ -106,7 +107,7 @@ def _check_candidates(
             from the head (the candidate space cannot cover them).
     """
     session.note_rejection(plan)
-    tracer = session.tracer
+    tracer = current_tracer()
     formula = plan.simplified
     total = len(domain) ** len(query.head)
     tracer.gauge("naive.candidate_space", total)
@@ -196,7 +197,7 @@ class AlgebraEngine:
             query: The calculus query to evaluate.
             db: The database instance.
             session: The invoking session (translation and rewrite
-                caches, tracer).
+                caches).
             length: Optional explicit evaluation bound.
             domain: Optional explicit domain; only its maximum string
                 length is used (as the bound).
@@ -250,9 +251,7 @@ class AutoEngine:
         """
         return AutoEngine(workers if workers is not None else self.workers)
 
-    def _pool(
-        self, session: "QueryEngine", cost: float
-    ) -> "ParallelExecutor | None":
+    def _pool(self, cost: float) -> "ParallelExecutor | None":
         """The worker pool for work of estimated size ``cost``, if any."""
         if cost < AUTO_PARALLEL_THRESHOLD:
             return None
@@ -265,7 +264,7 @@ class AutoEngine:
             return None
         from repro.parallel.executor import ParallelExecutor
 
-        return ParallelExecutor(workers, tracer=session.tracer)
+        return ParallelExecutor(workers)
 
     def _execute_plan(
         self,
@@ -277,7 +276,7 @@ class AutoEngine:
     ) -> frozenset[tuple[str, ...]]:
         """Run a conjunctive plan, choosing an executor per branch."""
         executor = self._pool(
-            session, max(branch.est_cost for branch in plan.branches())
+            max(branch.est_cost for branch in plan.branches())
         )
         if executor is None:
             return execute_plan(plan, db, query.alphabet, cap, session)
@@ -331,7 +330,7 @@ class AutoEngine:
         else:
             cap = length if length is not None else _longest(domain)
             plan = session.query_plan(query, db, cap)
-        executor = self._pool(session, len(domain) ** len(query.head))
+        executor = self._pool(len(domain) ** len(query.head))
         try:
             return _check_candidates(
                 query, db, session, plan, domain, executor

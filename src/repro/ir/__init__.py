@@ -6,8 +6,8 @@ evaluation strategy consumes:
 * :mod:`repro.ir.plan` — the IR nodes (conjunctive branches, unions,
   the observable naive fallback);
 * :mod:`repro.ir.cost` — the cost model fed from per-column storage
-  statistics (distinct counts, length histograms) and the certified
-  truncation bound;
+  statistics (distinct counts, longest lengths, character totals) and
+  the certified truncation bound;
 * :mod:`repro.ir.normalize` — calculus-level passes (simplify, De
   Morgan disjunct splitting, quantifier hoisting, cost-ranked conjunct
   ordering);

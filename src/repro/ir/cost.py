@@ -1,11 +1,13 @@
 """The cost model feeding conjunct reordering and strategy choice.
 
 Deterministic arithmetic over real storage statistics: relation
-cardinalities *and* per-column distinct counts / length histograms
-come from each backend's :meth:`~repro.storage.base.RelationStorage.stats`,
-the alphabet supplies string counts under the certified truncation
-cap, and ties between equally-priced steps break on the literal's
-string rendering — so the same query against statistically identical
+cardinalities, per-column distinct counts, longest lengths and
+total/stored character counts come from each backend's
+:meth:`~repro.storage.base.RelationStorage.stats` (the length
+histograms there only ride in the plan stamp's signature), the
+alphabet supplies string counts under the certified truncation cap,
+and ties between equally-priced steps break on the literal's string
+rendering — so the same query against statistically identical
 databases always produces the same plan.
 """
 

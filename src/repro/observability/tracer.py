@@ -3,12 +3,13 @@
 A :class:`Tracer` records a tree of timed :class:`SpanRecord` values
 (monotonic-clock durations via :func:`time.perf_counter`), typed
 counters (monotonically accumulated integers/floats) and gauges
-(last-value-wins measurements).  The library threads one tracer per
-:class:`~repro.engine.session.QueryEngine` session; lower layers that
-do not see the session — the FSA simulator, the Theorem 3.1 compiler,
-worker processes — reach the active tracer through the ambient
-:func:`current_tracer` contextvar, which defaults to the no-op
-:data:`NULL_TRACER` so untraced runs pay (almost) nothing.
+(last-value-wins measurements).  Instrumentation has one channel:
+every site writes to the ambient :func:`current_tracer` contextvar,
+which defaults to the no-op :data:`NULL_TRACER` so untraced runs pay
+(almost) nothing.  Only the code that owns a tracer activates it: a
+traced :class:`~repro.engine.session.QueryEngine` around its entry
+points, the query daemon around each request, and the worker entry
+point around each shard.
 
 Every span carries an optional ``stage`` tag naming the pipeline stage
 it belongs to; the canonical stages, in pipeline order, are
@@ -378,8 +379,7 @@ _ACTIVE: ContextVar["Tracer | NullTracer"] = ContextVar(
 def current_tracer() -> "Tracer | NullTracer":
     """The tracer instrumentation should write to right now.
 
-    Layers that receive no session/tracer argument (the FSA simulator,
-    the compiler, worker shard runs) call this; it defaults to
+    Every instrumentation site calls this; it defaults to
     :data:`NULL_TRACER` so untraced code paths stay near-free.
 
     Returns:

@@ -38,7 +38,7 @@ from time import perf_counter
 from typing import Any
 
 from repro.errors import ParallelExecutionError, WorkerCrashError
-from repro.observability import NULL_TRACER
+from repro.observability import current_tracer
 from repro.parallel.sharding import OVERSHARD_FACTOR, plan_shards
 from repro.parallel.tasks import execute_task
 
@@ -113,18 +113,20 @@ class ParallelExecutor:
     One executor accumulates one :class:`ExecutionReport` across any
     number of :meth:`run` calls — the engines create an executor per
     query evaluation so the report describes exactly that evaluation.
+
+    Shard planning, runs and pool restarts record into the ambient
+    :func:`~repro.observability.current_tracer`.  While one is active,
+    every worker traces its task privately and ships the spans back,
+    and :meth:`run` folds them into the ambient tracer under its
+    ``executor.run`` span.
     """
 
-    def __init__(self, workers: int | None = None, *, tracer=None) -> None:
+    def __init__(self, workers: int | None = None) -> None:
         """Configure the executor; no workers start until :meth:`run`.
 
         Args:
             workers: Worker-process count (default:
                 :func:`default_worker_count`).
-            tracer: An :class:`~repro.observability.Tracer` recording
-                shard planning and execution spans; worker-side spans
-                are folded back into it.  Defaults to the no-op
-                :data:`~repro.observability.NULL_TRACER`.
 
         Raises:
             ParallelExecutionError: If ``workers`` is not positive.
@@ -132,16 +134,16 @@ class ParallelExecutor:
         self.workers = workers if workers is not None else default_worker_count()
         if self.workers < 1:
             raise ParallelExecutionError("worker count must be positive")
-        self.tracer = tracer if tracer is not None else NULL_TRACER
         self.report = ExecutionReport(workers=self.workers)
 
     def plan(self, total: int) -> tuple[range, ...]:
         """Shard ``[0, total)`` into ``workers × OVERSHARD_FACTOR`` ranges."""
-        with self.tracer.span(
+        tracer = current_tracer()
+        with tracer.span(
             "shard.plan", stage="shard", total=total, workers=self.workers
         ):
             shards = plan_shards(total, self.workers * OVERSHARD_FACTOR)
-        self.tracer.add("shard.shards_planned", len(shards))
+        tracer.add("shard.shards_planned", len(shards))
         return shards
 
     def run(self, tasks: Sequence[Any]) -> list[Any]:
@@ -163,7 +165,7 @@ class ParallelExecutor:
         self.report.pooled = True
         self.report.shards_planned += len(tasks)
         started = perf_counter()
-        with self.tracer.span(
+        with current_tracer().span(
             "executor.run",
             workers=self.workers,
             tasks=len(tasks),
@@ -179,7 +181,7 @@ class ParallelExecutor:
         for attempt in range(MAX_POOL_RESTARTS + 1):
             if attempt:
                 self.report.restarts += 1
-                self.tracer.add("executor.restarts")
+                current_tracer().add("executor.restarts")
             pool = _shared_pool(self.workers)
             tasks = self._attempt(pool, tasks, results)
             if not tasks:
@@ -199,10 +201,11 @@ class ParallelExecutor:
             The tasks a dead worker left unfinished (empty when the
             pool stayed whole).
         """
-        traced = self.tracer.enabled
+        tracer = current_tracer()
         try:
             futures = [
-                pool.submit(execute_task, task, traced) for task in tasks
+                pool.submit(execute_task, task, tracer.enabled)
+                for task in tasks
             ]
         except BrokenProcessPool:
             return tasks
@@ -219,7 +222,7 @@ class ParallelExecutor:
                 self.report.task_seconds += seconds
                 if trace is not None:
                     pid, records, counters, gauges = trace
-                    self.tracer.absorb(records, counters, gauges, worker=pid)
+                    tracer.absorb(records, counters, gauges, worker=pid)
         except BaseException:
             for future in futures:
                 future.cancel()

@@ -19,9 +19,11 @@ Query bodies snapshot the database reference once, so each request
 evaluates entirely against a single version.
 
 Observability: every evaluated request runs under its *own*
-:class:`~repro.observability.Tracer` (activated ambiently in the
-worker thread, so cache-miss compiles, kernel builds and planner
-spans land in it), and the finished per-request
+:class:`~repro.observability.Tracer`, made ambient in the worker
+thread.  The shared session has no tracer of its own, so everything
+the request's evaluation records — compiles, plans, naive fallbacks,
+pool runs and the spans their workers ship back — lands in it, as it
+would in a traced in-process session.  The finished per-request
 :class:`~repro.observability.TraceReport` — tagged with the request
 id — is appended to the optional ``report_log`` JSON-lines file
 and/or handed to the ``on_report`` callback.  The service itself
@@ -56,7 +58,7 @@ from repro.errors import (
     ServiceError,
     ServiceProtocolError,
 )
-from repro.observability import TraceReport, Tracer, activate
+from repro.observability import TraceReport, Tracer, activate, current_tracer
 from repro.service.admission import REASON_QUEUE, AdmissionController
 from repro.service.pool import DEFAULT_POOL_SIZE, SessionPool
 from repro.service.protocol import (
@@ -144,17 +146,12 @@ class QueryService:
         host: Bind address (default loopback).
         port: TCP port; ``0`` picks a free one (read it back from
             :attr:`address` after :meth:`start`).
-        pool: A pre-built :class:`SessionPool`; built from
-            ``pool_size`` when omitted.
-        pool_size: Slot count for the built pool.
-        admission: A pre-built :class:`AdmissionController`; built
-            from ``max_cost``/``max_queue`` when omitted.
+        pool_size: Slot count of the :class:`SessionPool`.
         max_cost: Plan-cost admission ceiling (``None`` = unlimited).
         max_queue: Waiting-request cap beyond the running ones.
         default_deadline: Deadline in seconds applied to requests that
             do not carry their own (``None`` = no default).
         max_frame_bytes: Per-frame size limit, both directions.
-        default_engine: Engine used when a request names none.
         default_workers: ``workers`` forwarded to evaluations that do
             not specify it (lets big plans shard via
             :mod:`repro.parallel`).
@@ -171,14 +168,11 @@ class QueryService:
         *,
         host: str = "127.0.0.1",
         port: int = 0,
-        pool: SessionPool | None = None,
         pool_size: int = DEFAULT_POOL_SIZE,
-        admission: AdmissionController | None = None,
         max_cost: float | None = None,
         max_queue: int | None = 64,
         default_deadline: float | None = None,
         max_frame_bytes: int = MAX_FRAME_BYTES,
-        default_engine: str = "auto",
         default_workers: int | None = None,
         report_log: str | None = None,
         on_report: Callable[[Any, str, TraceReport], None] | None = None,
@@ -186,13 +180,12 @@ class QueryService:
         self.db = db
         self.host = host
         self.port = port
-        self.pool = pool or SessionPool(size=pool_size)
-        self.admission = admission or AdmissionController(
+        self.pool = SessionPool(size=pool_size)
+        self.admission = AdmissionController(
             max_cost=max_cost, max_queue=max_queue
         )
         self.default_deadline = default_deadline
         self.max_frame_bytes = max_frame_bytes
-        self.default_engine = default_engine
         self.default_workers = default_workers
         self.report_log = report_log
         self.on_report = on_report
@@ -513,7 +506,7 @@ class QueryService:
             raise ParseError(str(error)) from error
         options = {
             "length": _positive_int(params, "length"),
-            "engine": params.get("engine") or self.default_engine,
+            "engine": params.get("engine") or "auto",
             "workers": _positive_int(params, "workers") or self.default_workers,
         }
         if not isinstance(options["engine"], str):
@@ -574,13 +567,13 @@ class QueryService:
         session = self.pool.session
         if request.op == "query":
             query, options = self._parse_query(params)
-            return self._make_runner(request, lambda tracer: self._run_query(
-                session, query, options, tracer
-            ))
+            return self._make_runner(
+                request, lambda: self._run_query(session, query, options)
+            )
         if request.op == "explain":
             query, options = self._parse_query(params)
 
-            def do_explain(tracer: Tracer) -> dict:
+            def do_explain() -> dict:
                 from repro.ir.explain import explain_query
 
                 db = self.db
@@ -607,7 +600,7 @@ class QueryService:
                     member.setdefault(key, params.get(key))
                 members.append(self._parse_query(member))
 
-            def do_batch(tracer: Tracer) -> dict:
+            def do_batch() -> dict:
                 # One snapshot for the whole batch: every member is
                 # priced and evaluated against the same version even
                 # if an update lands between members.
@@ -634,15 +627,14 @@ class QueryService:
                         workers=options["workers"],
                     )
                     results.append(rows_to_wire(answers))
-                tracer.add("service.batch_members", len(members))
+                current_tracer().add("service.batch_members", len(members))
                 return {"results": results, "est_cost": total}
 
             return self._make_runner(request, do_batch)
         if request.op == "update":
             delta = self._parse_delta(params)
             return self._make_runner(
-                request,
-                lambda tracer: self._run_update(session, delta, tracer),
+                request, lambda: self._run_update(session, delta)
             )
         if request.op == "batch_update":
             raw = params.get("updates")
@@ -660,15 +652,11 @@ class QueryService:
             delta = log.build()
             return self._make_runner(
                 request,
-                lambda tracer: self._run_update(
-                    session, delta, tracer, batched=len(raw)
-                ),
+                lambda: self._run_update(session, delta, batched=len(raw)),
             )
         raise ServiceProtocolError(f"unhandled op {request.op!r}")
 
-    def _run_query(
-        self, session, query: Query, options: dict, tracer: Tracer
-    ) -> dict:
+    def _run_query(self, session, query: Query, options: dict) -> dict:
         # Snapshot once: a concurrent update swaps ``self.db`` only
         # while holding every pool slot, but reading it twice here
         # would still race admission against evaluation.
@@ -695,11 +683,7 @@ class QueryService:
         }
 
     def _run_update(
-        self,
-        session,
-        delta: Delta,
-        tracer: Tracer,
-        batched: int | None = None,
+        self, session, delta: Delta, batched: int | None = None
     ) -> dict:
         """Apply one (possibly coalesced) delta and swap the served db.
 
@@ -728,11 +712,11 @@ class QueryService:
         }
         if batched is not None:
             result["updates"] = batched
-            tracer.add("service.batch_updates", batched)
+            current_tracer().add("service.batch_updates", batched)
         return result
 
     def _make_runner(
-        self, request: Request, body: Callable[[Tracer], Any]
+        self, request: Request, body: Callable[[], Any]
     ) -> Callable[[], Any]:
         """Wrap an op body with per-request tracing and report emission."""
 
@@ -744,7 +728,7 @@ class QueryService:
                     op=request.op,
                     request=str(request.id),
                 ):
-                    return body(tracer)
+                    return body()
             finally:
                 self._emit_report(request, tracer)
 

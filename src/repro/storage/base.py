@@ -10,8 +10,10 @@ n-gram index (:class:`repro.storage.ngram.NGramIndexStorage`)
 without changing a line of evaluation code.
 
 The protocol also standardizes *statistics*: every backend reports a
-:class:`RelationStats` with per-column distinct counts and length
-histograms, which the cost model consumes instead of raw cardinalities.
+:class:`RelationStats` with per-column distinct counts, lengths,
+character totals and length histograms.  The cost model prices rows,
+distinct counts, longest lengths and character totals; the whole
+record, histograms included, is the plan cache's statistics stamp.
 """
 
 from __future__ import annotations
