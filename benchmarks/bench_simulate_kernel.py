@@ -9,12 +9,18 @@ Two benchmark families share this file:
 * the kernel-v2 criterion — per-fragment *batch* workloads
   (unidirectional and right-restricted machines on large row batches,
   a long-row tier of 0.5-1k-character DNA rows, a short-row tier of
-  10k DNA rows of 0-24 characters, plus a two-way fallback control)
+  10k DNA rows of 0-24 characters, the Q6 pattern over the same rows,
+  plus a two-way fallback control)
   run through the v1 worklist kernel
-  (built with ``compile_kernel``) and the determinized v2 scan kernel
+  (built with ``compile_kernel``) and the determinized v2 kernel
   (built with ``determinize``), gated at v2 ≥2× v1 on the
   unidirectional batch and recorded as the ``BENCH_kernel.json``
-  trajectory.
+  trajectory.  The long-row and short-row tiers are motif machines,
+  so their v2 column times the substring search a kernel takes once
+  its table is proven to be the motif's KMP automaton; the Q6 tier
+  keeps the table scan;
+* the substring criterion — on the short-row tier, that search
+  against the same kernel's table scan, gated at ≥2×.
 
 Run directly
 (``PYTHONPATH=src python benchmarks/bench_simulate_kernel.py``) for a
@@ -25,6 +31,7 @@ runs write their numbers under ``bench-results/``).
 
 import random
 import time
+from unittest.mock import patch
 
 import pytest
 
@@ -32,7 +39,11 @@ from repro.core import shorthands as sh
 from repro.core.alphabet import AB, DNA, LEFT_END, RIGHT_END
 from repro.core.syntax import IsChar, SStar, WTrue, atom, concat, left
 from repro.fsa.compile import compile_string_formula
-from repro.fsa.determinize import classify_fragment, determinize
+from repro.fsa.determinize import (
+    DeterministicKernel,
+    classify_fragment,
+    determinize,
+)
 from repro.fsa.kernel import compile_kernel, kernel_for
 from repro.fsa.machine import make_fsa
 from repro.fsa.simulate import reference_accepts
@@ -53,6 +64,10 @@ SPEEDUP_FLOOR = 3.0
 #: The kernel-v2 criterion floor: the determinized scan ≥2× the v1
 #: worklist kernel on the unidirectional batch workload.
 V2_SPEEDUP_FLOOR = 2.0
+
+#: The substring criterion floor: on the short-row tier, substring
+#: search ≥2× the table scan of the same kernel.
+SUBSTRING_SPEEDUP_FLOOR = 2.0
 
 #: Where the v1-vs-v2 trajectory is recorded for the ROADMAP.
 RESULTS_FILE = "BENCH_kernel.json"
@@ -192,8 +207,9 @@ def _batch_workloads():
     One workload per fragment tier — unidirectional (arity 1),
     right-restricted (lockstep arity 2) — a long-row tier whose scans
     accept halfway or read to the end, a short-row tier of 10k rows,
-    and a two-way machine as the fallback control: there v2 must
-    transparently equal v1.
+    the Q6 pattern ``(gc + a)*`` over the same rows (a table no motif's
+    KMP automaton matches, so it keeps the scan), and a two-way machine
+    as the fallback control: there v2 must transparently equal v1.
     """
     unidirectional = _contains_ab_machine()
     yield "unidirectional-batch", "unidirectional", unidirectional, [
@@ -208,7 +224,10 @@ def _batch_workloads():
     ]
     motif = _motif_machine("gattaca")
     yield "long-rows", "unidirectional", motif, _long_rows()
-    yield "short-rows", "unidirectional", _motif_machine("ag"), _short_rows()
+    short_rows = _short_rows()
+    yield "short-rows", "unidirectional", _motif_machine("ag"), short_rows
+    pattern = compile_string_formula(sh.gc_plus_a_star("y"), DNA).fsa
+    yield "short-rows-pattern", "unidirectional", pattern, short_rows
     manifold = compile_string_formula(sh.manifold("x", "y"), AB).fsa
     yield "two-way-fallback", None, manifold, [
         (base * 8, base)
@@ -264,21 +283,67 @@ def _v2_measurements():
     return results
 
 
+def _substring_measurement():
+    """Substring search vs. the same kernel's table scan on short-rows.
+
+    The scan is timed with the kernel's ``factor`` hidden, as the
+    ``forced_scan`` test fixture does.
+    """
+    rows = _short_rows()
+    kernel = determinize(_motif_machine("ag"))
+    assert kernel.factor == "ag"
+    with patch.object(DeterministicKernel, "factor", None):
+        expected = kernel.accepts_batch(rows)
+        scan = _best_of(5, lambda: kernel.accepts_batch(rows))
+    assert kernel.accepts_batch(rows) == expected
+    search = _best_of(5, lambda: kernel.accepts_batch(rows))
+    return {
+        "workload": "short-rows",
+        "floor": SUBSTRING_SPEEDUP_FLOOR,
+        "scan_seconds": round(scan, 4),
+        "substring_seconds": round(search, 4),
+        "speedup": round(scan / search, 2),
+    }
+
+
+def _report():
+    """Everything ``BENCH_kernel.json`` records."""
+    return {
+        "floor": V2_SPEEDUP_FLOOR,
+        "workloads": _v2_measurements(),
+        "substring": _substring_measurement(),
+    }
+
+
 def test_kernel_v2_speedup_floor():
     """Kernel-v2 acceptance criterion: the determinized scan is ≥2×
     faster than the v1 worklist kernel on the unidirectional batch
     workload (identical verdicts everywhere, v1 fallback untaxed);
     the measured trajectory is recorded in ``BENCH_kernel.json``."""
-    results = _v2_measurements()
-    write_results(
-        RESULTS_FILE, {"floor": V2_SPEEDUP_FLOOR, "workloads": results}
-    )
+    report = _report()
+    write_results(RESULTS_FILE, report)
+    results = report["workloads"]
     by_name = {entry["workload"]: entry for entry in results}
     gated = by_name["unidirectional-batch"]
     assert gated["v1_seconds"] >= V2_SPEEDUP_FLOOR * gated["v2_seconds"], (
         f"unidirectional batch: v2 ({gated['v2_seconds'] * 1e3:.2f} ms) "
         f"not ≥{V2_SPEEDUP_FLOOR}× faster than v1 "
         f"({gated['v1_seconds'] * 1e3:.2f} ms)"
+    )
+
+
+def test_substring_speedup_floor():
+    """Substring criterion: on the short-row tier, substring search is
+    ≥2× faster than the same kernel's table scan, with identical
+    verdicts."""
+    measured = _substring_measurement()
+    assert measured["scan_seconds"] >= (
+        SUBSTRING_SPEEDUP_FLOOR * measured["substring_seconds"]
+    ), (
+        f"short rows: substring search "
+        f"({measured['substring_seconds'] * 1e3:.2f} ms) not "
+        f"≥{SUBSTRING_SPEEDUP_FLOOR}× faster than the table scan "
+        f"({measured['scan_seconds'] * 1e3:.2f} ms)"
     )
 
 
@@ -292,18 +357,21 @@ def main() -> None:
             f"kernel: {kernel * 1e3:8.2f} ms   "
             f"speedup: {reference / kernel:5.1f}x"
         )
-    results = _v2_measurements()
-    write_results(
-        RESULTS_FILE,
-        {"floor": V2_SPEEDUP_FLOOR, "workloads": results},
-        tracked=True,
-    )
-    for entry in results:
+    report = _report()
+    write_results(RESULTS_FILE, report, tracked=True)
+    for entry in report["workloads"]:
         print(
             f"{entry['workload']:<24} v1: {entry['v1_seconds'] * 1e3:8.2f} ms   "
             f"v2: {entry['v2_seconds'] * 1e3:8.2f} ms   "
             f"speedup: {entry['speedup']:5.1f}x"
         )
+    substring = report["substring"]
+    print(
+        f"{'short-rows substring':<24} scan: "
+        f"{substring['scan_seconds'] * 1e3:6.2f} ms   substring: "
+        f"{substring['substring_seconds'] * 1e3:6.2f} ms   "
+        f"speedup: {substring['speedup']:5.1f}x"
+    )
 
 
 if __name__ == "__main__":

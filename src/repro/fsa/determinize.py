@@ -37,6 +37,17 @@ row's scan stops at the first sticky state it reaches.  A batch of
 single-tape plain strings is interned for those scans in one C pass
 over the joined rows.
 
+A one-variable occurrence formula ``Σ*·f`` (Section 2's Q7, the
+planted-motif selections) denotes ``Σ*·f·Σ*`` (Theorem 6.1), whose
+minimal automaton is the Knuth–Morris–Pratt automaton of ``f``.  When
+a single-tape table is proven to be that automaton
+(:func:`_occurrence_factor`: a product walk that pairs ``ACCEPT`` with
+KMP state ``|f|``, never dies, never accepts ``⊣`` early and maps each
+table state to one KMP state), the kernel keeps ``f`` as its
+:attr:`~DeterministicKernel.factor` and answers a validated batch of
+plain cells with C-level substring search, recording the counters the
+scan would have recorded.
+
 :func:`lockstep_intersection` multiplies two determinized tables into
 one machine accepting ``L(A) ∩ L(B)`` — the in-fragment replacement
 for the two-way sequencing product of :mod:`repro.fsa.product`, so
@@ -59,7 +70,8 @@ per ``(kernel, rule)`` and shared by every string, query and batch that
 contains the rule.
 
 Tracer counters: ``kernel.determinize`` (one per subset construction),
-``kernel.dfa_states`` (DFA states built), ``kernel.v2_hits``
+``kernel.dfa_states`` (DFA states built), ``kernel.factor`` (kernels
+proven to be a motif's KMP automaton), ``kernel.v2_hits``
 (instance-cache hits), ``kernel.classify.hits`` (memoized fragment
 verdicts served), ``kernel.slp_summaries`` (per-rule summaries built),
 ``kernel.slp_expanded`` (multitape SLP cells expanded for the scan),
@@ -72,7 +84,8 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Iterable, Sequence
-from operator import length_hint
+from itertools import compress, repeat
+from operator import contains, length_hint
 
 from repro.core.alphabet import LEFT_END, RIGHT_END
 from repro.errors import AlphabetError, ArityError
@@ -129,6 +142,9 @@ _UNSUPPORTED = "unsupported"
 #: stays clear of both codes.
 _SEPARATOR, _INVALID = 254, 255
 _SEPARATOR_BYTE = bytes([_SEPARATOR])
+
+#: Bytes of the joined batch the table scan splits into rows at once.
+_SCAN_CHUNK = 1 << 14
 
 
 def classify_fragment(fsa: FSA) -> str | None:
@@ -191,7 +207,9 @@ class DeterministicKernel:
     Cells may be plain strings or :class:`~repro.slp.grammar.SLP`
     values, mixed freely:
 
-    * plain strings are scanned until the first sticky state;
+    * plain strings are scanned until the first sticky state, or, in a
+      batch of single-tape plain cells for a kernel with a
+      :attr:`factor`, searched for the factor;
     * a single-tape SLP input is folded over its grammar —
       ``O(rules · states)``, the expansion never materialized;
     * SLP cells of multitape rows are expanded (within the grammar's
@@ -230,6 +248,7 @@ class DeterministicKernel:
         "_symbol_count",
         "_codes",
         "_bytes",
+        "_factor",
         "_ends",
         "_table",
         "_summaries",
@@ -257,7 +276,24 @@ class DeterministicKernel:
         )
         self._ends = (chr(symbol_count - 2), chr(symbol_count - 1))
         self._table = table
+        self._factor = (
+            _occurrence_factor(table, ncols, symbol_count, codes)
+            if self._bytes is not None
+            else None
+        )
         self._summaries: dict[_Node, array] = {}
+
+    @property
+    def factor(self) -> str | None:
+        """The word ``f`` when the table is ``f``'s KMP automaton.
+
+        Set for a single-tape kernel with a byte table whose scan
+        settles exactly like the Knuth–Morris–Pratt automaton of
+        ``Σ*·f·Σ*`` (:func:`_occurrence_factor`); a batch of plain
+        cells is then answered by C-level substring search.  ``None``
+        for every other kernel, which keeps the table scan.
+        """
+        return self._factor
 
     def __reduce__(self):
         """Pickle as the underlying machine; re-determinize on load.
@@ -409,7 +445,9 @@ class DeterministicKernel:
         way each row is scanned through the table until it reaches a
         sticky sink — from there no symbol can change the verdict, so
         the rest of the row is never read.  ``simulate.scan_symbols``
-        counts the columns consumed, the settling one included.
+        counts the columns consumed, the settling one included.  A
+        kernel with a :attr:`factor` answers the joined batch by
+        substring search instead, with the same verdicts and counters.
 
         Args:
             rows: The input tuples, each one string or
@@ -433,9 +471,13 @@ class DeterministicKernel:
 
         The cells are joined on NUL, encoded and translated through the
         256-byte table :attr:`_bytes` at C level; one ``in`` test
-        validates every character and one ``split`` cuts the rows
-        apart again.  Each piece is scanned from the state after ``⊢``
-        and reads ``⊣`` only if it has not settled.
+        validates every character and one ``count`` of the separator
+        rules out a NUL inside a row.  A kernel with a :attr:`factor`
+        then answers the batch by substring search
+        (:meth:`_search`); any other splits the rows apart again, a
+        slice of about :data:`_SCAN_CHUNK` bytes at a time, and scans
+        each piece from the state after ``⊢``, reading ``⊣`` only if it
+        has not settled.
 
         Returns ``None``, adding no counter, when the batch is empty or
         is not all one-cell plain strings over Σ without NUL; the
@@ -449,35 +491,81 @@ class DeterministicKernel:
         data = data.translate(self._bytes)
         if _INVALID in data:
             return None
-        pieces = data.split(_SEPARATOR_BYTE)
-        if len(pieces) != len(cells):  # NUL inside a row, or no rows
-            return None
+        if data.count(_SEPARATOR_BYTE) != len(cells) - 1:
+            return None  # NUL inside a row, or no rows
         table = self._table
         ncols = self._ncols
         settled = 2 * ncols  # the premultiplied DEAD and ACCEPT rows
         left, right = self._symbol_count - 2, self._symbol_count - 1
         first = table[START * ncols + left]
-        scanned = len(pieces)  # every row consumes its ⊢
+        scanned = len(cells)  # every row consumes its ⊢
+        factor = self.factor
         if first < settled:
-            verdicts = [first == ncols] * len(pieces)
+            verdicts = [first == ncols] * len(cells)
+        elif factor is not None:
+            return self._search(cells, len(data) - len(cells) + 1, factor)
         else:
             verdicts = []
-            for piece in pieces:
-                state = first
-                pending = iter(piece)
-                for column in pending:
-                    state = table[state + column]
-                    if state < settled:
-                        break
-                else:
-                    state = table[state + right]
-                    scanned += 1
-                scanned += len(piece) - length_hint(pending)
-                verdicts.append(state == ncols)
+            start = 0
+            while start <= len(data):
+                # Split a bounded slice at a time, so a large batch never
+                # holds one bytes object per row at once.
+                end = data.find(_SEPARATOR_BYTE, start + _SCAN_CHUNK)
+                if end < 0:
+                    end = len(data)
+                for piece in data[start:end].split(_SEPARATOR_BYTE):
+                    state = first
+                    pending = iter(piece)
+                    for column in pending:
+                        state = table[state + column]
+                        if state < settled:
+                            break
+                    else:
+                        state = table[state + right]
+                        scanned += 1
+                    scanned += len(piece) - length_hint(pending)
+                    verdicts.append(state == ncols)
+                start = end + 1
         tracer = current_tracer()
         tracer.add("simulate.runs", len(verdicts))
         tracer.add("simulate.scan_symbols", scanned)
         return tuple(verdicts)
+
+    def _search(
+        self, cells: list[str], characters: int, factor: str
+    ) -> tuple[bool, ...]:
+        """Answer a validated batch of plain cells by substring search.
+
+        Exact because the table is ``factor``'s KMP automaton
+        (:func:`_occurrence_factor`): a row is accepted iff it contains
+        ``factor``, and its scan settles in ``ACCEPT`` on the last
+        symbol of the first occurrence, ``find + |f|`` symbols after
+        ``⊢``; a row without it never settles, so the scan reads every
+        symbol and ``⊣``.  The counters are the ones the table scan
+        adds, summed by C-level reductions with no per-row list.
+
+        Args:
+            cells: The batch's cells, already validated over Σ.
+            characters: The total length of the cells.
+            factor: The kernel's :attr:`factor`.
+        """
+        verdicts = tuple(map(contains, cells, repeat(factor)))
+        hits = verdicts.count(True)
+        misses = len(cells) - hits
+        # Every row reads ⊢; a miss reads all its symbols and ⊣; a hit
+        # stops after the first occurrence instead of at its end.
+        scanned = (
+            len(cells)
+            + characters
+            + misses
+            + hits * len(factor)
+            + sum(map(str.find, compress(cells, verdicts), repeat(factor)))
+            - sum(map(len, compress(cells, verdicts)))
+        )
+        tracer = current_tracer()
+        tracer.add("simulate.runs", len(cells))
+        tracer.add("simulate.scan_symbols", scanned)
+        return verdicts
 
     def _scan_each(
         self, rows: Iterable[Sequence[str | SLP]]
@@ -551,6 +639,96 @@ def _byte_table(codes: _CodeTable, symbol_count: int) -> bytes | None:
     for code_point, symbol in codes.items():
         table[code_point] = symbol
     return bytes(table)
+
+
+def _occurrence_factor(
+    table: array, ncols: int, symbol_count: int, codes: _CodeTable
+) -> str | None:
+    """The word ``f`` when a single-tape table is ``f``'s KMP automaton.
+
+    ``f`` is the shortest word driving the state after ``⊢`` to
+    ``ACCEPT``.  The table is accepted as *settle-equivalent* to the
+    Knuth–Morris–Pratt automaton of ``Σ*·f·Σ*`` (Theorem 6.1's language
+    of a one-variable occurrence formula) when a breadth-first walk of
+    their product from (state after ``⊢``, 0) over Σ pairs ``ACCEPT``
+    exactly with KMP state ``|f|``, never reaches ``DEAD``, never
+    accepts ``⊣`` below ``|f|``, and pairs each table state with one
+    KMP state.  Then every row settles in ``ACCEPT`` on the last symbol
+    of ``f``'s first occurrence, and a row without ``f`` reads all of
+    itself and ``⊣`` and is rejected — what substring search computes.
+    KMP is the minimal automaton of the language, so an equivalent
+    table pairs each of its states with one KMP state, and the walk
+    visits each table state once.
+
+    Returns ``None`` when the state after ``⊢`` is already sticky, no
+    word reaches ``ACCEPT``, or any condition fails.
+    """
+    settled = 2 * ncols  # the premultiplied DEAD and ACCEPT rows
+    start = table[START * ncols + symbol_count - 2]
+    if start < settled:
+        return None
+    symbols = sorted(codes.items(), key=lambda item: item[1])
+    # The shortest word to ACCEPT, by breadth-first search over Σ.
+    parents: dict[int, tuple[int, int] | None] = {start: None}
+    frontier = [start]
+    last = None
+    for state in frontier:
+        for code_point, column in symbols:
+            target = table[state + column]
+            if target == ncols:
+                last = (state, code_point)
+                break
+            if target >= settled and target not in parents:
+                parents[target] = (state, code_point)
+                frontier.append(target)
+        if last is not None:
+            break
+    if last is None:
+        return None
+    word = []
+    while last is not None:
+        state, code_point = last
+        word.append(chr(code_point))
+        last = parents[state]
+    word.reverse()
+    factor = "".join(word)
+    # KMP transitions over Σ for the states below |f| (Sedgewick's
+    # construction: state k copies the row of its restart state).
+    length = len(factor)
+    index = {code_point: rank for rank, (code_point, _) in enumerate(symbols)}
+    kmp = [[0] * len(symbols)]
+    kmp[0][index[ord(factor[0])]] = 1
+    restart = 0
+    for position in range(1, length):
+        char = index[ord(factor[position])]
+        row = list(kmp[restart])
+        row[char] = position + 1
+        kmp.append(row)
+        restart = kmp[restart][char]
+    # The product walk.
+    right = symbol_count - 1
+    paired = {start: 0}
+    frontier = [start]
+    for state in frontier:
+        if table[state + right] == ncols:
+            return None  # accepts ⊣ below |f|
+        steps = kmp[paired[state]]
+        for rank, (_, column) in enumerate(symbols):
+            target = table[state + column]
+            step = steps[rank]
+            if step == length:
+                if target != ncols:
+                    return None
+            elif target < settled:
+                return None  # DEAD, or ACCEPT before |f|
+            else:
+                seen = paired.get(target)
+                if seen is None:
+                    paired[target] = step
+                    frontier.append(target)
+                elif seen != step:
+                    return None
+    return factor
 
 
 def _rebuild(fsa: FSA) -> DeterministicKernel:
@@ -673,11 +851,14 @@ def determinize(
             (ord(symbol), sym_ids[symbol]) for symbol in fsa.alphabet.symbols
         )
         dfa_states = len(subset_ids) + 1
+        kernel = DeterministicKernel(
+            fsa, fragment, table, ncols, symbol_count, codes, dfa_states
+        )
+        if kernel.factor is not None:
+            tracer.add("kernel.factor")
     tracer.add("kernel.determinize")
     tracer.add("kernel.dfa_states", dfa_states)
-    return DeterministicKernel(
-        fsa, fragment, table, ncols, symbol_count, codes, dfa_states
-    )
+    return kernel
 
 
 def determinized_for(fsa: FSA) -> DeterministicKernel | None:

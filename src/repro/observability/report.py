@@ -285,16 +285,20 @@ class TraceReport:
                 "kernel.compile",
                 "kernel.hits",
                 "simulate.kernel_configurations",
+                "kernel.determinize",
             )
         ):
             lines.append(
                 "kernel compiles={compiles} hits={hits} "
-                "configurations={configurations}".format(
+                "configurations={configurations} "
+                "determinized={determinized} factor={factor}".format(
                     compiles=int(counters.get("kernel.compile", 0)),
                     hits=int(counters.get("kernel.hits", 0)),
                     configurations=int(
                         counters.get("simulate.kernel_configurations", 0)
                     ),
+                    determinized=int(counters.get("kernel.determinize", 0)),
+                    factor=int(counters.get("kernel.factor", 0)),
                 )
             )
         if self.enabled:

@@ -451,15 +451,19 @@ class NGramIndexStorage:
         extra_rows: list[tuple[str, ...]],
     ) -> int | None:
         mapped = row_ids.get(row)
-        if mapped is not None:
-            if mapped < base:
-                if self._rows[mapped] == row:
-                    return mapped
-            elif (
-                mapped - base < len(extra_rows)
-                and extra_rows[mapped - base] == row
-            ):
+        if mapped is None:
+            # The lineage map gains every appended row and loses none,
+            # so a row it has never seen is in no appended block.
+            return None
+        if mapped < base:
+            if self._rows[mapped] == row:
                 return mapped
+        elif (
+            mapped - base < len(extra_rows)
+            and extra_rows[mapped - base] == row
+        ):
+            return mapped
+        # A sibling derivation remapped the row: look for it here.
         for offset, extra in enumerate(extra_rows):
             if extra == row:
                 return base + offset

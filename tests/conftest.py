@@ -34,6 +34,18 @@ def forced_v1(monkeypatch):
 
 
 @pytest.fixture
+def forced_scan(monkeypatch):
+    """Keep every determinized kernel on its table scan in this process.
+
+    Hides :attr:`~repro.fsa.determinize.DeterministicKernel.factor`, so
+    no batch takes the substring path — also on kernels built before
+    the test.  Like ``forced_v1`` it patches this process only, so
+    tests using it must evaluate in-process (``workers=1``).
+    """
+    monkeypatch.setattr(_DETERMINIZE.DeterministicKernel, "factor", None)
+
+
+@pytest.fixture
 def pooled(monkeypatch):
     """Send all ``auto`` work at ``workers > 1`` to the pool.
 

@@ -236,6 +236,37 @@ class TestNGramApplyDelta:
         assert sorted(current.scan()) == sorted(expect)
         assert current.size() == len(expect)
 
+    def test_sibling_derivations_claiming_one_id(self):
+        """Two children of one parent append different rows at the same
+        id, then each appends the other's row.  The lineage's shared
+        ``row -> id`` map then sends each child's own row to the id its
+        sibling used, so only the search of the appended block finds
+        it; every derivation must still match a fresh build."""
+
+        def check(store, rows):
+            fresh = NGramIndexStorage.build(rows, n=2)
+            assert store.tuples == fresh.tuples
+            for factor in ("ca", "tg", "cat", "ttg", "ag"):
+                assert _candidate_rows(store, 0, factor) == (
+                    _candidate_rows(fresh, 0, factor)
+                ), factor
+
+        parent = NGramIndexStorage.build(ROWS, n=2)
+        mine, theirs = ("acat",), ("cttg",)
+        first = parent.apply_delta(frozenset({mine}), frozenset())
+        second = parent.apply_delta(frozenset({theirs}), frozenset())
+        check(first, ROWS + [mine])
+        check(second, ROWS + [theirs])
+        first = first.apply_delta(frozenset({theirs}), frozenset())
+        second = second.apply_delta(frozenset({mine}), frozenset())
+        for store, own, other in ((first, mine, theirs), (second, theirs, mine)):
+            check(store, ROWS + [own, other])
+            for row, kept in ((own, other), (other, own)):
+                gone = store.apply_delta(frozenset(), frozenset({row}))
+                check(gone, ROWS + [kept])
+                back = gone.apply_delta(frozenset({row}), frozenset())
+                check(back, ROWS + [own, other])
+
     def test_net_noop_returns_self(self):
         store = NGramIndexStorage.build(ROWS, n=2)
         assert store.apply_delta(

@@ -16,17 +16,21 @@ to the per-row calls as well: same verdicts, same counter totals, and
 the same alphabet validation even past the point where a scan settles.
 A batch of single-tape plain strings is interned in one pass over the
 joined rows; every batch that cannot be falls back to the per-row loop
-with the loop's errors and counters.
+with the loop's errors and counters.  A kernel whose table is proven to
+be the KMP automaton of an occurrence language ``Σ*·f·Σ*`` answers such
+a batch by substring search, held to the table scan (the
+``forced_scan`` fixture), the per-row loop and the reference; every
+other shape keeps the scan.
 """
 
 import pickle
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core import shorthands as sh
-from repro.core.alphabet import AB, LEFT_END, RIGHT_END, Alphabet
-from repro.core.syntax import Var
+from repro.core.alphabet import AB, DNA, LEFT_END, RIGHT_END, Alphabet
+from repro.core.syntax import IsChar, SStar, Var, WTrue, atom, concat, left
 from repro.errors import AlphabetError, ArityError
 from repro.fsa.compile import compile_string_formula
 from repro.fsa.determinize import (
@@ -387,6 +391,29 @@ class TestEarlyExit:
             assert kernel.accepts_batch([]) == ()
         assert tracer.counters.get("simulate.runs", 0) == 0
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            # A separator at every byte, so one falls on each slice
+            # boundary; the last row is empty.
+            [("",)] * 20_000 + [("ab",), ("",)],
+            [(("ab", "bba", "b" * 40, "", "aab")[index % 5],)
+             for index in range(6_000)],
+            [("b" * 20_000,), ("",), ("b" * 16_383 + "ab",)],
+        ],
+        ids=["empty-rows", "mixed-rows", "long-rows"],
+    )
+    def test_batches_spanning_many_slices(self, rows):
+        kernel = determinize(_first_ab())
+        tracers = {"batch": Tracer(), "loop": Tracer()}
+        with activate(tracers["batch"]):
+            batch = kernel.accepts_batch(rows)
+        with activate(tracers["loop"]):
+            loop = kernel._scan_each(rows)
+        assert batch == loop
+        assert batch == tuple("ab" in row for (row,) in rows)
+        assert tracers["batch"].counters == tracers["loop"].counters
+
     def test_generator_of_rows(self):
         kernel = determinize(_first_ab())
         words = ["ab", "ba", "bab", ""]
@@ -412,6 +439,181 @@ class TestEarlyExit:
         assert kernel.accepts_batch(rows) == expected == (
             True, False, True, False
         )
+
+
+# -- occurrence languages: substring search ----------------------------
+
+
+def _chars(motif):
+    return [atom(left("y"), IsChar("y", char)) for char in motif]
+
+
+def _anything():
+    return SStar(atom(left("y"), WTrue()))
+
+
+def _occurs(motif, alphabet):
+    """``Σ*·motif``, as the end-to-end motif selections compile it."""
+    return compile_string_formula(
+        concat(_anything(), *_chars(motif)), alphabet
+    ).fsa
+
+
+def _forced_scan(kernel, rows):
+    """``kernel.accepts_batch(rows)`` under the ``forced_scan`` fixture."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(DeterministicKernel, "factor", None)
+        return kernel.accepts_batch(rows)
+
+
+@st.composite
+def _motif_batches(draw):
+    """A motif over ``ab`` or ``acgt`` and a batch built around it.
+
+    The batch always holds an empty row, the motif itself and a row
+    ending in it, plus random rows with and without the motif planted.
+    """
+    alphabet = draw(st.sampled_from([AB, DNA]))
+    symbols = "".join(alphabet.symbols)
+    motif = draw(st.text(alphabet=symbols, min_size=1, max_size=6))
+    words = st.text(alphabet=symbols, max_size=24)
+    rows = ["", motif, draw(words) + motif]
+    for _ in range(draw(st.integers(min_value=0, max_value=8))):
+        row = draw(words)
+        if draw(st.booleans()):
+            cut = draw(st.integers(min_value=0, max_value=len(row)))
+            row = row[:cut] + motif + row[cut:]
+        rows.append(row)
+    rows = draw(st.permutations(rows))
+    return alphabet, motif, [(row,) for row in rows]
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_motif_batches())
+@example(case=(AB, "aaa", [("aa",), ("aaaa",), ("baaab",), ("",), ("aaa",)]))
+@example(case=(AB, "abab", [("ababab",), ("abaab",), ("",), ("bbabab",)]))
+@example(case=(DNA, "gcgcgc", [("gcgcgagcgcgc",), ("gcgcg",), ("",)]))
+def test_occurrence_machines_search_for_their_factor(case):
+    """Detection names the motif, and substring search returns the
+    table scan's verdicts and counters, the per-row loop's and the
+    reference's."""
+    alphabet, motif, rows = case
+    fsa = _occurs(motif, alphabet)
+    kernel = determinize(fsa)
+    assert kernel.factor == motif
+    tracers = {"search": Tracer(), "scan": Tracer(), "loop": Tracer()}
+    with activate(tracers["search"]):
+        search = kernel.accepts_batch(rows)
+    with activate(tracers["scan"]):
+        scan = _forced_scan(kernel, rows)
+    with activate(tracers["loop"]):
+        loop = kernel._scan_each(rows)
+    expected = tuple(reference_accepts(fsa, row) for row in rows)
+    assert search == scan == loop == expected
+    assert expected == tuple(motif in row for (row,) in rows)
+    for name in ("simulate.runs", "simulate.scan_symbols"):
+        totals = {
+            route: tracer.counters.get(name, 0)
+            for route, tracer in tracers.items()
+        }
+        assert len(set(totals.values())) == 1, (name, totals)
+
+
+def _scanner(advances, accepts_at):
+    """A one-tape DFA-shaped machine over ``ab`` starting in state 0.
+
+    ``advances`` maps ``(state, symbol)`` to the next state; each
+    ``(state, symbol)`` in ``accepts_at`` halts in the final state on
+    that column, as the compiled occurrence machines do.
+    """
+    transitions = [("s", (LEFT_END,), 0, (+1,))]
+    transitions += [
+        (state, (symbol,), target, (+1,))
+        for (state, symbol), target in advances.items()
+    ]
+    transitions += [
+        (state, (symbol,), "f", (0,)) for state, symbol in accepts_at
+    ]
+    return make_fsa(1, AB, "s", ["f"], transitions)
+
+
+def _negative_shapes():
+    """Single-tape machines whose tables are no motif's KMP automaton."""
+    # Each of the next three breaks exactly one rule of the product
+    # walk for f = "ab"; the other rules hold.
+    yield "ab-or-ends-in-b", _scanner(  # accepts ⊣ below |f|
+        {(0, "a"): 1, (0, "b"): 2, (1, "a"): 1, (2, "a"): 1, (2, "b"): 2},
+        [(1, "b"), (2, RIGHT_END)],
+    )
+    yield "starts-with-ab", _scanner(  # one table state, two KMP states
+        {(0, "a"): 1, (0, "b"): 2, (1, "a"): 2, (2, "a"): 2, (2, "b"): 2},
+        [(1, "b")],
+    )
+    yield "starts-with-a-holds-ab", _scanner(  # KMP |f| without ACCEPT
+        {
+            (0, "a"): 1, (0, "b"): 2, (1, "a"): 1,
+            (2, "a"): 3, (2, "b"): 2, (3, "a"): 3, (3, "b"): 2,
+        },
+        [(1, "b")],
+    )
+    yield "Q6", compile_string_formula(sh.gc_plus_a_star("y"), DNA).fsa
+    yield "f-and-g", lockstep_intersection(
+        _occurs("ab", AB), _occurs("ba", AB)
+    )
+    yield "f-prefix", compile_string_formula(
+        concat(*_chars("ab")), AB
+    ).fsa
+    yield "f-twice", compile_string_formula(
+        concat(_anything(), *_chars("ab"), _anything(), *_chars("ab")), AB
+    ).fsa
+    yield "first-ab", _first_ab()
+    yield "contains-b", _contains(AB, "b")
+
+
+class TestFactorDetection:
+    @pytest.mark.parametrize(
+        "fsa",
+        [pytest.param(fsa, id=name) for name, fsa in _negative_shapes()],
+    )
+    def test_other_languages_keep_the_scan(self, fsa):
+        tracer = Tracer()
+        with activate(tracer):
+            kernel = determinize(fsa)
+        assert kernel.factor is None
+        assert "kernel.factor" not in tracer.counters
+        rows = [(word,) for word in fsa.alphabet.strings(4)]
+        expected = tuple(reference_accepts(fsa, row) for row in rows)
+        assert kernel.accepts_batch(rows) == expected
+        assert any(expected) and not all(expected)
+
+    def test_detection_is_counted_once_per_kernel(self):
+        tracer = Tracer()
+        with activate(tracer):
+            kernel = determinize(_occurs("gat", DNA))
+            kernel.accepts_batch([("gattaca",), ("cat",)])
+        assert kernel.factor == "gat"
+        assert tracer.counters["kernel.factor"] == 1
+
+    def test_multitape_and_slp_cells_keep_their_paths(self):
+        assert determinize(_compiled(sh.equals)).factor is None
+        kernel = determinize(_occurs("ab", AB))
+        rows = [(compress("bab"),), ("ab",), ("bb",)]
+        assert kernel._scan_joined(rows) is None
+        tracer = Tracer()
+        with activate(tracer):
+            assert kernel.accepts_batch(rows) == (True, True, False)
+        assert tracer.counters["simulate.grammar_rules"] > 0
+
+    def test_wide_alphabets_keep_the_per_row_loop(self):
+        alphabet = Alphabet([chr(0x100 + index) for index in range(3)])
+        kernel = determinize(_occurs(alphabet.symbols[:2], alphabet))
+        assert kernel._bytes is None and kernel.factor is None
+
+    def test_pickled_kernel_reruns_the_check(self):
+        kernel = determinize(_occurs("tac", DNA))
+        clone = pickle.loads(pickle.dumps(kernel))
+        assert clone.factor == "tac"
+        assert clone.accepts_batch([("gtaca",), ("tca",)]) == (True, False)
 
 
 # -- the fragment detector as an artifact ------------------------------

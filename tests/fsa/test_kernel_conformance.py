@@ -8,9 +8,11 @@ every worker count, the evaluated answer sets must be byte-identical
 (compared as sorted tuple lists) to the naive reference.  A forced-v1
 column (the ``forced_v1`` fixture makes the determinizer decline
 in-process) runs the same matrix with every machine on the worklist
-kernel.  The file also checks that the machine
-picks the session's kernel and that the fixture reaches machines that
-already carry a scan kernel.
+kernel, and a forced-scan column (the ``forced_scan`` fixture) with
+every determinized kernel on its table scan, so the occurrence
+selection's substring search is held to the scan it replaces.  The
+file also checks that the machine picks the session's kernel and that
+both fixtures reach kernels built before them.
 """
 
 import pytest
@@ -18,12 +20,26 @@ import pytest
 from repro.core import shorthands as sh
 from repro.core.alphabet import AB, Alphabet
 from repro.core.query import Query
-from repro.core.syntax import And, Not, Var, exists, lift, rel
+from repro.core.syntax import (
+    And,
+    IsChar,
+    Not,
+    SStar,
+    Var,
+    WTrue,
+    atom,
+    concat,
+    exists,
+    left,
+    lift,
+    rel,
+)
 from repro.engine import QueryEngine
 from repro.fsa.compile import compile_string_formula
 from repro.fsa.determinize import DeterministicKernel
 from repro.fsa.kernel import CompiledKernel, kernel_for
 from repro.ir.execute import execute_plan
+from repro.observability import Tracer
 from repro.workloads.generators import (
     copy_language_strings,
     example_database,
@@ -40,9 +56,13 @@ WORKER_COUNTS = (1, 2, 4)
 
 #: Matrix columns ``(kernels, workers)``: ``auto`` lets each machine
 #: pick its kernel; ``v1`` forces the worklist kernel through the
-#: ``forced_v1`` fixture, which only patches this process, so it runs
+#: ``forced_v1`` fixture and ``scan`` the table scan through the
+#: ``forced_scan`` fixture.  Both only patch this process, so they run
 #: at one worker.
-COLUMNS = [("auto", workers) for workers in WORKER_COUNTS] + [("v1", 1)]
+COLUMNS = [("auto", workers) for workers in WORKER_COUNTS] + [
+    ("v1", 1),
+    ("scan", 1),
+]
 
 #: Every registered engine.
 ENGINES = ("naive", "algebra", "auto")
@@ -125,6 +145,20 @@ def _queries(alphabet):
         And(rel("R1", "x", "y"), Not(rel("R2", "y"))),
         alphabet,
     )
+    # A one-tape occurrence selection: its kernel answers plain batches
+    # by substring search, except in the forced-scan column.
+    yield "select-motif", Query(
+        ("y",), And(rel("R2", "y"), lift(_occurs(alphabet.symbols[:2]))),
+        alphabet,
+    )
+
+
+def _occurs(motif):
+    """``Σ*·motif`` on ``y``, as the end-to-end motif selections build it."""
+    return concat(
+        SStar(atom(left("y"), WTrue())),
+        *[atom(left("y"), IsChar("y", char)) for char in motif],
+    )
 
 
 DATABASES = list(_databases())
@@ -152,9 +186,10 @@ def _reference(dbname, qname, query, db, bound):
 @pytest.mark.parametrize("route", ROUTES)
 @pytest.mark.parametrize("dbname,db", DB_PARAMS)
 def test_conformance_matrix(dbname, db, route, kernels, workers, request):
-    """generator × route × workers (+ forced v1): identical answers."""
-    if kernels == "v1":
-        request.getfixturevalue("forced_v1")
+    """generator × route × workers (+ forced v1, forced scan): identical
+    answers."""
+    if kernels != "auto":
+        request.getfixturevalue(f"forced_{kernels}")
         session = QueryEngine()
     else:
         session = _SESSION
@@ -205,3 +240,22 @@ def test_forced_v1_fixture_declines_in_process(request):
     # the worklist kernel too.
     assert isinstance(kernel_for(fsa), CompiledKernel)
     assert isinstance(QueryEngine().kernel(fsa), CompiledKernel)
+
+
+def test_forced_scan_fixture_hides_the_factor(request):
+    motif = compile_string_formula(_occurs("ab"), AB).fsa
+    kernel = kernel_for(motif)
+    assert kernel.factor == "ab"
+    request.getfixturevalue("forced_scan")
+    # A kernel built before the fixture keeps its table scan too.
+    assert kernel.factor is None
+    assert QueryEngine().kernel(motif).factor is None
+
+
+def test_occurrence_selection_counts_its_factor():
+    query = Query(("y",), And(rel("R2", "y"), lift(_occurs("ab"))), AB)
+    db = example_database(AB, seed=3, size=4, max_length=3)
+    tracer = Tracer()
+    answers = QueryEngine(tracer=tracer).evaluate(query, db, length=4)
+    assert answers == {row for row in db.relation("R2") if "ab" in row[0]}
+    assert tracer.counters["kernel.factor"] == 1

@@ -303,6 +303,25 @@ class TestObservabilityFlags:
         for stage in ("compile", "translate", "fold"):
             assert stage in err
 
+    def test_stats_kernel_line_counts_the_factor(self, capsys, db_file):
+        code = main(
+            [
+                "query",
+                "--alphabet",
+                "ab",
+                "--db",
+                db_file,
+                "--head=x",
+                "--stats",
+                "--trace",
+                "R2(x) & ([x]l)* . [x]l(x = 'a') . [x]l(x = 'b')",
+            ]
+        )
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[0] == "ab"
+        assert "determinized=1 factor=1" in captured.err
+
     def test_stats_alone_leaves_tracing_disabled(self, capsys, db_file):
         code = self._run(db_file, "--stats")
         assert code == 0
