@@ -26,7 +26,8 @@ LEFT_MOVE, STAY, RIGHT_MOVE = -1, 0, +1
 _MOVES = (LEFT_MOVE, STAY, RIGHT_MOVE)
 
 #: Per-instance stash attributes the kernel layers cache on machines
-#: (compiled kernels, determinization verdicts, fragment labels).
+#: (compiled kernels, determinization verdicts, fragment labels) and
+#: the planner caches beside them (prefilter factors).
 #: Everything registered here is dropped from pickles by
 #: :meth:`FSA.__getstate__` — each kernel tier registers its own slot
 #: at import time, so adding a tier can never silently leak compiled
@@ -39,7 +40,8 @@ def register_kernel_stash(name: str) -> None:
 
     Called once at import time by each module that caches derived
     state on :class:`FSA` instances via ``object.__setattr__``
-    (:mod:`repro.fsa.kernel`, :mod:`repro.fsa.determinize`).
+    (:mod:`repro.fsa.kernel`, :mod:`repro.fsa.determinize`,
+    :mod:`repro.ir.rewrite`).
 
     Args:
         name: The attribute name the caller stashes under.

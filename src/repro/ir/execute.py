@@ -366,7 +366,8 @@ def execute_plan(
             defaults to ``Σ^{≤cap}``.
 
     Returns:
-        The union of branch answers in head order.
+        The union of branch answers in head order; a one-branch plan's
+        answer is the branch's frozenset itself, not a copy.
 
     Raises:
         EvaluationError: If the plan's root is a naive fallback.
@@ -379,9 +380,8 @@ def execute_plan(
             "route it to the naive strategy instead"
         )
     tracer = current_tracer()
-    answers: set[tuple[str, ...]] = set()
-    branches = plan.branches()
-    for index, branch in enumerate(branches):
+    parts = []
+    for index, branch in enumerate(plan.branches()):
         chosen = executor_for(branch) if executor_for is not None else None
         with tracer.span(
             "execute.branch",
@@ -389,7 +389,12 @@ def execute_plan(
             branch=index,
             steps=len(branch.steps),
         ):
-            answers |= execute_branch(
-                branch, plan.head, db, alphabet, cap, session, chosen, domain
+            parts.append(
+                execute_branch(
+                    branch, plan.head, db, alphabet, cap, session, chosen,
+                    domain,
+                )
             )
-    return frozenset(answers)
+    if len(parts) == 1:
+        return parts[0]
+    return frozenset().union(*parts)

@@ -54,7 +54,7 @@ from repro.algebra.expressions import (
 )
 from repro.core.alphabet import LEFT_END
 from repro.core.syntax import RelAtom, StringAtom
-from repro.fsa.machine import FSA, RIGHT_MOVE, STAY
+from repro.fsa.machine import FSA, RIGHT_MOVE, STAY, register_kernel_stash
 from repro.fsa.ops import drop_tape, widen
 from repro.fsa.product import fusion_supported
 from repro.ir.plan import ConjunctivePlan, QueryPlan, UnionPlan
@@ -416,6 +416,12 @@ MAX_FACTOR_LENGTH = 8
 #: little and are shorter than any useful gram size anyway.
 MIN_PREFILTER_FACTOR = 2
 
+#: Stash attribute memoizing :func:`required_factors` on the machine
+#: instance, per tape and length limit: a re-plan after an update
+#: prices the same cached machines again and finds their factors here.
+_FACTORS_STASH = "_required_factors"
+register_kernel_stash(_FACTORS_STASH)
+
 
 def _reaches_final_avoiding(machine: FSA, excluded) -> bool:
     """Whether some start→final state path avoids transition ``excluded``."""
@@ -489,7 +495,8 @@ def required_factors(
     the returned substrings can never satisfy the selection, whatever
     the other tapes hold.  It is deliberately incomplete — machines
     with alternative accepting paths simply yield fewer (or no)
-    factors.
+    factors.  It depends on the machine alone, so it is computed once
+    per machine instance, tape and limit and stashed on the instance.
 
     Args:
         machine: The compiled selection machine.
@@ -500,7 +507,18 @@ def required_factors(
         The deduplicated factors, sorted; factors that are substrings
         of longer derived factors are dropped.
     """
-    machine = machine.pruned()
+    memo = machine.__dict__.get(_FACTORS_STASH)
+    if memo is None:
+        memo = {}
+        object.__setattr__(machine, _FACTORS_STASH, memo)
+    key = (tape, limit)
+    if key not in memo:
+        memo[key] = _derive_factors(machine.pruned(), tape, limit)
+    return memo[key]
+
+
+def _derive_factors(machine: FSA, tape: int, limit: int) -> tuple[str, ...]:
+    """:func:`required_factors` over an already pruned machine."""
     if not machine.finals:
         return ()
     if len(machine.transitions) > MAX_PREFILTER_TRANSITIONS:

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Mapping
+from operator import itemgetter
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -253,18 +254,25 @@ def raise_for_error(error: Mapping[str, Any]) -> None:
     raise exc_type(f"[{code}] {message}")
 
 
-def rows_to_wire(answers) -> list[list[str]]:
-    """An answer set as deterministic JSON: sorted lists of lists.
+def rows_to_wire(answers) -> list[tuple[str, ...]]:
+    """An answer set in its deterministic wire order: the sorted tuples.
+
+    The tuples are not copied: :mod:`json` writes a tuple as an array,
+    so :func:`encode_frame` emits the same bytes as for lists.  A
+    one-column answer sorts on its only value, which orders its
+    1-tuples exactly as comparing them would, only faster.
 
     Args:
         answers: The frozenset of string tuples an engine returned.
 
     Returns:
-        The rows, sorted, each tuple a list — the exact on-wire form.
+        The answer's tuples, sorted.
     """
-    return [list(row) for row in sorted(answers)]
+    if answers and len(next(iter(answers))) == 1:
+        return sorted(answers, key=itemgetter(0))
+    return sorted(answers)
 
 
 def rows_from_wire(rows) -> list[tuple[str, ...]]:
-    """The inverse of :func:`rows_to_wire`: lists back to tuples."""
+    """The inverse of :func:`rows_to_wire`: decoded arrays back to tuples."""
     return [tuple(row) for row in rows]

@@ -14,11 +14,14 @@ The protocol also standardizes *statistics*: every backend reports a
 character totals and length histograms.  The cost model prices rows,
 distinct counts, longest lengths and character totals; the whole
 record, histograms included, is the plan cache's statistics stamp.
+A version derived by a delta takes its record from its parent's and
+the rows the delta changed (:func:`derive_stats`), not from a pass
+over its rows.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Collection, Iterable, Iterator
 from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
@@ -108,6 +111,60 @@ def compute_stats(
         for column in range(arity)
     )
     return RelationStats(rows=count, arity=arity, columns=columns)
+
+
+def derive_stats(
+    parent: RelationStats,
+    added: Collection[tuple[str, ...]],
+    removed: Collection[tuple[str, ...]],
+) -> RelationStats | None:
+    """The statistics of ``(R | added) − removed`` from ``R``'s record.
+
+    ``added`` must be disjoint from ``R`` and ``removed`` inside it,
+    both of ``R``'s arity: exactly the rows a delta changed.  Rows,
+    character totals, length histograms and min/max lengths follow by
+    arithmetic in O(|Δ|).  In a relation of at most one column every
+    row is a distinct value, so ``distinct`` equals ``rows``; a wider
+    relation's distinct counts would need per-value counts, so it gets
+    ``None`` and its backend keeps the one-pass :func:`compute_stats`
+    on first request.
+
+    Args:
+        parent: The statistics of ``R``.
+        added: The rows the delta adds.
+        removed: The rows the delta removes.
+
+    Returns:
+        What :func:`compute_stats` returns over the new rows, or
+        ``None`` for a relation of more than one column.
+    """
+    if parent.arity > 1:
+        return None
+    rows = parent.rows + len(added) - len(removed)
+    columns = []
+    for column, stats in enumerate(parent.columns):
+        histogram = dict(stats.length_histogram)
+        total = stats.total_chars
+        for row in added:
+            length = len(row[column])
+            histogram[length] = histogram.get(length, 0) + 1
+            total += length
+        for row in removed:
+            length = len(row[column])
+            histogram[length] -= 1
+            if not histogram[length]:
+                del histogram[length]
+            total -= length
+        columns.append(
+            ColumnStats(
+                distinct=rows,
+                total_chars=total,
+                min_length=min(histogram, default=0),
+                max_length=max(histogram, default=0),
+                length_histogram=tuple(sorted(histogram.items())),
+            )
+        )
+    return RelationStats(rows=rows, arity=parent.arity, columns=tuple(columns))
 
 
 @runtime_checkable
@@ -218,23 +275,32 @@ class InMemoryStorage:
         frozen = frozenset(tuple(row) for row in tuples)
         self._adopt(frozen, _one_arity({len(row) for row in frozen}, arity))
 
-    def _adopt(self, tuples: frozenset[tuple[str, ...]], arity: int) -> None:
+    def _adopt(
+        self,
+        tuples: frozenset[tuple[str, ...]],
+        arity: int,
+        stats: RelationStats | None = None,
+    ) -> None:
         self._tuples = tuples
         self._arity = arity
-        self._stats: RelationStats | None = None
+        self._stats = stats
         self._columns: dict[int, tuple[str, ...]] = {}
 
     @classmethod
     def _trusted(
-        cls, tuples: frozenset[tuple[str, ...]], arity: int
+        cls,
+        tuples: frozenset[tuple[str, ...]],
+        arity: int,
+        stats: RelationStats | None = None,
     ) -> "InMemoryStorage":
         """A storage over rows already known to have ``arity``.
 
         The private constructor path of derived versions: it holds
-        ``tuples`` as given and makes no per-row pass.
+        ``tuples`` (and ``stats``, when known) as given and makes no
+        per-row pass.
         """
         store = cls.__new__(cls)
-        store._adopt(tuples, arity)
+        store._adopt(tuples, arity, stats)
         return store
 
     @property
@@ -286,8 +352,12 @@ class InMemoryStorage:
         ``removed = (deletes − inserts) ∩ R`` and ``added = inserts − R``;
         the successor ``(R | added) − removed`` then costs one C-level
         copy of ``R``'s frozenset and no Python pass over its rows.  The
-        receiver is untouched, and the successor computes its own
-        statistics and columns on first request.
+        receiver is untouched.  When the receiver's statistics are
+        known, the successor's are derived from them and the delta
+        (:func:`derive_stats`); otherwise, for a relation of more than
+        one column, or when the arity changes (the successor then holds
+        only ``added``), it computes them on first request.  Columns
+        are always computed on first request.
 
         Args:
             inserts: Rows to add (applied after the deletes).
@@ -315,7 +385,10 @@ class InMemoryStorage:
         # toggling both in R yields ``(R | added) - removed``; CPython's
         # ``^`` copies its right operand, one C-level copy of R.
         updated = (added | removed) ^ tuples
-        return InMemoryStorage._trusted(updated, arity)
+        stats = None
+        if self._stats is not None and arity == self._arity:
+            stats = derive_stats(self._stats, added, removed)
+        return InMemoryStorage._trusted(updated, arity, stats)
 
     def __reduce__(self):
         return (InMemoryStorage, (self._tuples, self._arity))

@@ -23,11 +23,12 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Iterable, Iterator
+from itertools import compress
 from pathlib import Path
 
 from repro.errors import ArityError, ArtifactError
 from repro.storage import artifact as artifact_format
-from repro.storage.base import RelationStats, compute_stats
+from repro.storage.base import RelationStats, compute_stats, derive_stats
 
 #: The default gram size; 3 balances directory size against probe
 #: selectivity on small (e.g. DNA) alphabets.
@@ -256,7 +257,13 @@ class NGramIndexStorage:
         return len(self._rows)
 
     def stats(self) -> RelationStats:
-        """Statistics — precomputed at build time, stored in the artifact."""
+        """Statistics — precomputed at build time, stored in the artifact.
+
+        A derived version holds statistics derived from its parent's
+        and the delta; only one whose parent's were never computed, or
+        one of more than one column, makes a pass over its rows, on
+        first request.
+        """
         if self._stats is None:
             self._stats = compute_stats(self._live_rows(), self._arity)
         return self._stats
@@ -337,19 +344,18 @@ class NGramIndexStorage:
     def _live_rows(self) -> tuple[tuple[str, ...], ...]:
         """The live tuples: base (minus tombstones), then appends.
 
-        A derived version filters its tombstones once, on first use.
+        A derived version filters its tombstones once, on first use,
+        with one C-level :func:`~itertools.compress` over a mask that
+        zeroes the dead ids.
         """
         if not self._mutated:
             return self._all_rows()
         if self._live is None:
-            dead = self._dead
-            self._live = tuple(
-                row
-                for row_id, row in enumerate(
-                    self._all_rows() + self._extra_rows
-                )
-                if row_id not in dead
-            )
+            rows = self._all_rows() + self._extra_rows
+            mask = bytearray(b"\x01") * len(rows)
+            for row_id in self._dead:
+                mask[row_id] = 0
+            self._live = tuple(compress(rows, mask))
         return self._live
 
     def _canonical_live(self) -> tuple[tuple[str, ...], ...]:
@@ -480,7 +486,10 @@ class NGramIndexStorage:
         tombstone row ids (filtered out of probe results), inserts
         append rows after the base id block, and each gram they hold
         gets their ids appended to an extra posting table merged at
-        probe time — O(|Δ|·L) work, never a rebuild.  On-disk
+        probe time — O(|Δ|·L) work, never a rebuild.  When this
+        version's statistics are known, the derived version's are
+        derived from them and the rows the delta changed
+        (:func:`~repro.storage.base.derive_stats`).  On-disk
         artifacts are **not** rewritten; the derived storage remembers
         the content fingerprint its base postings came from and falls
         back to live in-memory postings if the file no longer matches
@@ -530,25 +539,25 @@ class NGramIndexStorage:
                 ]
             else:
                 extra_postings = [{} for _ in range(self._arity)]
+            removed = []
+            resurrected = []
             appended = []
-            changed = False
             for row in sorted(deletes):
                 row_id = self._resolve_id(row_ids, row, base, extra_rows)
                 if row_id is not None and row_id not in dead:
                     dead.add(row_id)
-                    changed = True
+                    removed.append(row)
             for row in sorted(inserts):
                 row_id = self._resolve_id(row_ids, row, base, extra_rows)
                 if row_id is not None:
                     if row_id in dead:
                         dead.discard(row_id)
-                        changed = True
+                        resurrected.append(row)
                     continue
                 row_ids[row] = base + len(extra_rows)
                 extra_rows.append(row)
                 appended.append(row)
-                changed = True
-            if not changed:
+            if not (removed or resurrected or appended):
                 return self
             fresh = artifact_format.build_postings(
                 appended,
@@ -564,12 +573,17 @@ class NGramIndexStorage:
         base_sha = self._base_sha
         if base_sha is None and self._reader is not None:
             base_sha = self._reader.content_sha
+        stats = None
+        if self._stats is not None:
+            stats = derive_stats(
+                self._stats, resurrected + appended, removed
+            )
         return NGramIndexStorage(
             base_rows,
             self._n,
             self._arity,
             reader=self._reader,
-            stats=None,
+            stats=stats,
             postings=self._postings,
             extra_rows=tuple(extra_rows),
             extra_postings=extra_postings,

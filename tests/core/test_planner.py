@@ -140,6 +140,28 @@ class TestPlanner:
         }
         assert execute_plan(plan, database, AB, 2, QueryEngine()) == expected
 
+    def test_one_branch_answer_is_returned_as_is(self, monkeypatch):
+        from repro.ir import execute
+
+        answers = []
+
+        def recording(*args, **kwargs):
+            answers.append(original(*args, **kwargs))
+            return answers[-1]
+
+        original = execute.execute_branch
+        monkeypatch.setattr(execute, "execute_branch", recording)
+        one = plan_for(And(rel("R2", "x"), lift(sh.equals("x", "x"))), "x")
+        got = execute_plan(one, db(), AB, 3, QueryEngine())
+        assert len(one.branches()) == 1
+        assert got is answers[-1]
+        assert got == {("ab",), ("b",), ("ba",)}
+        two = plan_for(f_or(rel("R2", "x"), rel("R1", "x", "x")), "x")
+        got = execute_plan(two, db(), AB, 3, QueryEngine())
+        assert len(two.branches()) == 2
+        assert type(got) is frozenset
+        assert got == answers[-2] | answers[-1]
+
     def test_empty_result_short_circuits(self):
         formula = And(rel("Empty", "x"), lift(sh.constant("x", "a")))
         plan = plan_for(formula, ("x",))

@@ -6,12 +6,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.alphabet import AB
+from repro.core.alphabet import AB, Alphabet
 from repro.core.database import Database
 from repro.delta import Delta
 from repro.errors import ArityError
 from repro.observability import Tracer, activate
-from repro.storage import InMemoryStorage, NGramIndexStorage, is_storage
+from repro.storage import (
+    InMemoryStorage,
+    NGramIndexStorage,
+    compute_stats,
+    is_storage,
+)
 
 ROWS = [("gcgc",), ("acgt",), ("ttag",)]
 
@@ -72,6 +77,12 @@ def _snapshot(store):
     )
 
 
+def _check_stats(store):
+    """The version's statistics equal one pass over its live rows."""
+    assert store.stats() == compute_stats(sorted(store.scan()), store.arity)
+    return store
+
+
 def _candidate_rows(store, column, factor):
     ids = store.candidates(column, factor)
     assert ids is not None
@@ -121,6 +132,11 @@ class TestInMemoryApplyDelta:
             assert result.stats() == expected.stats()
             for k in range(expected.arity):
                 assert result.column(k) == expected.column(k)
+            # A parent whose statistics were never computed.
+            unread = InMemoryStorage(store.tuples, arity=store.arity or None)
+            derived = unread.apply_delta(inserts, deletes)
+            assert derived.tuples == expected.tuples
+            assert derived.stats() == expected.stats()
         assert store.tuples is before[0]
         assert _snapshot(store) == before
         fresh = InMemoryStorage(store.tuples, arity=store.arity or None)
@@ -203,6 +219,7 @@ class TestNGramApplyDelta:
     def test_insert_updates_rows_and_candidates(self):
         store = NGramIndexStorage.build(ROWS, n=2)
         updated = store.apply_delta(frozenset({("gcaa",)}), frozenset())
+        _check_stats(updated)
         assert updated.tuples == frozenset(ROWS) | {("gcaa",)}
         assert updated.size() == 4
         assert updated.contains(("gcaa",))
@@ -214,23 +231,34 @@ class TestNGramApplyDelta:
     def test_delete_tombstones_candidates(self):
         store = NGramIndexStorage.build(ROWS, n=2)
         updated = store.apply_delta(frozenset(), frozenset({("gcgc",)}))
+        _check_stats(updated)
         assert updated.tuples == frozenset(ROWS) - {("gcgc",)}
         assert ("gcgc",) not in _candidate_rows(updated, 0, "cg")
         assert _candidate_rows(updated, 0, "cg") == {("acgt",)}
 
     def test_delete_then_reinsert_resurrects_the_row(self):
         store = NGramIndexStorage.build(ROWS, n=2)
-        gone = store.apply_delta(frozenset(), frozenset({("acgt",)}))
-        back = gone.apply_delta(frozenset({("acgt",)}), frozenset())
+        gone = _check_stats(
+            store.apply_delta(frozenset(), frozenset({("acgt",)}))
+        )
+        back = _check_stats(
+            gone.apply_delta(frozenset({("acgt",)}), frozenset())
+        )
         assert back.tuples == frozenset(ROWS)
         assert ("acgt",) in _candidate_rows(back, 0, "cg")
 
     def test_chained_deltas_compose(self):
         store = NGramIndexStorage.build(ROWS, n=2)
         current = store
-        current = current.apply_delta(frozenset({("aacc",)}), frozenset())
-        current = current.apply_delta(frozenset(), frozenset({("ttag",)}))
-        current = current.apply_delta(frozenset({("ttgg",)}), frozenset())
+        for inserts, deletes in (
+            ({("aacc",)}, set()),
+            (set(), {("ttag",)}),
+            ({("ttgg",)}, set()),
+        ):
+            current = current.apply_delta(
+                frozenset(inserts), frozenset(deletes)
+            )
+            _check_stats(current)
         expect = (frozenset(ROWS) | {("aacc",), ("ttgg",)}) - {("ttag",)}
         assert current.tuples == expect
         assert sorted(current.scan()) == sorted(expect)
@@ -246,6 +274,7 @@ class TestNGramApplyDelta:
         def check(store, rows):
             fresh = NGramIndexStorage.build(rows, n=2)
             assert store.tuples == fresh.tuples
+            assert store.stats() == fresh.stats()
             for factor in ("ca", "tg", "cat", "ttg", "ag"):
                 assert _candidate_rows(store, 0, factor) == (
                     _candidate_rows(fresh, 0, factor)
@@ -266,6 +295,50 @@ class TestNGramApplyDelta:
                 check(gone, ROWS + [kept])
                 back = gone.apply_delta(frozenset({row}), frozenset())
                 check(back, ROWS + [own, other])
+
+    def test_stats_follow_absent_deletes_and_emptying(self):
+        store = NGramIndexStorage.build(ROWS, n=2)
+        # Deleting an absent row beside an insert changes only the insert.
+        mixed = _check_stats(
+            store.apply_delta(
+                frozenset({("aaaaaa",)}), frozenset({("cccc",), ("gcgc",)})
+            )
+        )
+        assert mixed.stats().rows == 3
+        emptied = _check_stats(
+            mixed.apply_delta(frozenset(), frozenset(mixed.tuples))
+        )
+        assert emptied.stats() == compute_stats((), 1)
+        refilled = _check_stats(
+            emptied.apply_delta(frozenset({("gcgc",), ("a",)}), frozenset())
+        )
+        assert refilled.tuples == {("gcgc",), ("a",)}
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=8),
+                st.frozensets(st.tuples(st.text("acg", max_size=3)), max_size=3),
+                st.frozensets(st.tuples(st.text("acg", max_size=3)), max_size=3),
+            ),
+            max_size=8,
+        )
+    )
+    def test_stats_match_one_pass_at_every_step(self, steps):
+        """Each delta derives from the latest version or an older one
+        (a sibling of an earlier derivation); every version's statistics
+        equal ``compute_stats`` over its live rows."""
+        versions = [NGramIndexStorage.build(ROWS, n=2)]
+        contents = [frozenset(ROWS)]
+        for back, inserts, deletes in steps:
+            at = max(len(versions) - 1 - back, 0)
+            derived = versions[at].apply_delta(inserts, deletes)
+            expected = (contents[at] - deletes) | inserts
+            assert derived.tuples == expected
+            _check_stats(derived)
+            versions.append(derived)
+            contents.append(expected)
 
     def test_net_noop_returns_self(self):
         store = NGramIndexStorage.build(ROWS, n=2)
@@ -325,3 +398,31 @@ class TestStalenessGuard:
             found = _candidate_rows(mutated, 0, "gc")
         assert found >= {("gcgc",), ("gcaa",)}
         assert tracer.counters.get("index.stale_fallback", 0) == 0
+
+
+class TestDerivedStatistics:
+    """A derived version never makes a pass over its rows for its
+    statistics when its parent's are known."""
+
+    @pytest.mark.parametrize("storage", ["memory", "ngram"])
+    def test_no_pass_after_an_update(self, storage, monkeypatch):
+        db = Database(Alphabet("acgt"), {"R2": ROWS}, storage=storage)
+        assert db.max_string_length("R2") == 4
+        updated = db.apply(
+            Delta.of(
+                inserts={"R2": [("gcaaaaa",), ("t",)]},
+                deletes={"R2": [("ttag",), ("cccc",)]},
+            )
+        )
+
+        def refuse(rows, arity):
+            raise AssertionError("statistics recomputed by a pass")
+
+        monkeypatch.setattr("repro.storage.base.compute_stats", refuse)
+        monkeypatch.setattr("repro.storage.ngram.compute_stats", refuse)
+        stats = updated.storage("R2").stats()
+        assert updated.max_string_length("R2") == 7
+        monkeypatch.undo()
+        assert stats == compute_stats(
+            sorted(updated.storage("R2").scan()), 1
+        )

@@ -1,5 +1,7 @@
 """Mandatory-factor derivation and the index-prefilter pushdown pass."""
 
+import pytest
+
 from repro.core import shorthands as sh
 from repro.core.alphabet import Alphabet
 from repro.core.syntax import (
@@ -138,3 +140,53 @@ def test_prefiltered_plans_execute_identically():
     assert got == frozenset({("gcgcgc",)})
     assert tracer.counters.get("index.probe", 0) >= 1
     assert tracer.counters.get("index.pruned", 0) >= 2
+
+
+def test_required_factors_are_memoized_on_the_machine(monkeypatch):
+    import pickle
+
+    fsa, tape = _machine(_contains("y", "gcgcgc"))
+    first = required_factors(fsa, tape)
+
+    def refuse(machine, tape, limit):
+        raise AssertionError("factors derived twice")
+
+    monkeypatch.setattr("repro.ir.rewrite._derive_factors", refuse)
+    assert required_factors(fsa, tape) is first
+    with pytest.raises(AssertionError, match="twice"):
+        required_factors(fsa, tape, limit=4)
+    # The memo is per instance and stays out of pickles.
+    clone = pickle.loads(pickle.dumps(fsa))
+    assert clone == fsa
+    with pytest.raises(AssertionError, match="twice"):
+        required_factors(clone, tape)
+
+
+def test_replan_after_an_update_reuses_the_factors(monkeypatch):
+    from repro.core.query import Query
+    from repro.delta import Delta
+    from repro.engine import QueryEngine
+    from repro.ir import rewrite
+    from repro.observability import Tracer
+
+    db = _db().with_storage("ngram")
+    query = Query(
+        ("y",), And(rel("R2", "y"), lift(_contains("y", "gcgcgc"))), DNA
+    )
+    tracer = Tracer()
+    session = QueryEngine(tracer=tracer)
+    session.evaluate(query, db, length=10)
+    derived = []
+    original = rewrite._derive_factors
+    monkeypatch.setattr(
+        rewrite,
+        "_derive_factors",
+        lambda *args: derived.append(args) or original(*args),
+    )
+    updated = session.apply_delta(
+        db, Delta.of(inserts={"R2": [("ttgcgcgcaa",)]})
+    )
+    got = session.evaluate(query, updated, length=10)
+    assert got == frozenset({("gcgcgc",), ("ttgcgcgcaa",)})
+    assert tracer.counters["cache.invalidate.ir"] == 1
+    assert derived == []

@@ -94,7 +94,7 @@ def test_batch_matches_member_by_member(served):
     for (formula, head, _), remote in zip(WORKLOAD[:3], batched):
         query = Query(tuple(head), parse_formula(formula), AB)
         direct = QueryEngine().evaluate(query, db, length=3)
-        assert rows_to_wire(direct) == [list(row) for row in remote]
+        assert rows_to_wire(direct) == [tuple(row) for row in remote]
 
 
 def test_empty_answer_sets_round_trip(served):
@@ -114,5 +114,5 @@ def test_empty_string_columns_survive_the_wire(served):
     remote = client.query(formula, ["x"], length=2)
     query = Query(("x",), parse_formula(formula), AB)
     direct = QueryEngine().evaluate(query, db, length=2)
-    assert rows_to_wire(direct) == [list(row) for row in remote]
+    assert rows_to_wire(direct) == [tuple(row) for row in remote]
     assert ("",) in {tuple(row) for row in remote}

@@ -140,10 +140,47 @@ class TestRaiseForError:
 class TestRows:
     def test_wire_form_is_sorted_lists(self):
         answers = frozenset({("b", "a"), ("a", "b")})
-        assert rows_to_wire(answers) == [["a", "b"], ["b", "a"]]
+        assert rows_to_wire(answers) == [("a", "b"), ("b", "a")]
 
     def test_round_trip(self):
         answers = frozenset({("ab",), ("",), ("b",)})
         wired = rows_to_wire(answers)
         assert frozenset(rows_from_wire(wired)) == answers
         assert wired == sorted(wired)
+
+    @pytest.mark.parametrize(
+        "answers, frame",
+        [
+            pytest.param(
+                frozenset({()}),
+                b'{"id":"r1","ok":true,"result":{"rows":[[]]}}\n',
+                id="width-0-unit",
+            ),
+            pytest.param(
+                frozenset(),
+                b'{"id":"r1","ok":true,"result":{"rows":[]}}\n',
+                id="width-0-empty",
+            ),
+            pytest.param(
+                frozenset(
+                    {("b",), ("",), ('q"b',), ("c\\d",), ("é",), ("a",)}
+                ),
+                b'{"id":"r1","ok":true,"result":{"rows":[[""],["a"],["b"],'
+                b'["c\\\\d"],["q\\"b"],["\xc3\xa9"]]}}\n',
+                id="width-1",
+            ),
+            pytest.param(
+                frozenset(
+                    {("b", 'q"'), ("a\\", "ü"), ("a", ""), ("a", "b")}
+                ),
+                b'{"id":"r1","ok":true,"result":{"rows":[["a",""],["a","b"],'
+                b'["a\\\\","\xc3\xbc"],["b","q\\""]]}}\n',
+                id="width-2",
+            ),
+        ],
+    )
+    def test_response_frames_are_golden(self, answers, frame):
+        """The frame bytes of the list-of-lists wire form, pinned: rows
+        written as tuples must encode to exactly these."""
+        response = ok_response("r1", {"rows": rows_to_wire(answers)})
+        assert encode_frame(response) == frame
