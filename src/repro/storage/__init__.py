@@ -39,7 +39,6 @@ from repro.storage.base import (
     RelationStorage,
     apply_storage_delta,
     compute_stats,
-    derive_stats,
     is_storage,
 )
 from repro.storage.ngram import DEFAULT_N, NGramIndexStorage
@@ -177,7 +176,6 @@ __all__ = [
     "VERSION",
     "apply_storage_delta",
     "compute_stats",
-    "derive_stats",
     "is_storage",
     "probe_candidates",
     "resolve_storage_factory",
